@@ -35,10 +35,9 @@ def _write_text(path, text: str) -> None:
 
 def _trajectory_csv(trajectory, truncated_at=None, reason=None) -> str:
     lines = [CSV_HEADER]
-    for t, s, d in zip(trajectory.times, trajectory.states, trajectory.derived):
-        lines.append(",".join(
-            _fmt(v) for v in (t, s.x, s.n, s.y, d.u1, d.u2, d.u_avg, d.p12, d.p21)
-        ))
+    for row in zip(trajectory.times, trajectory.x, trajectory.n, trajectory.y, trajectory.u1,
+                   trajectory.u2, trajectory.u_avg, trajectory.p12, trajectory.p21):
+        lines.append(",".join(map(_fmt, row)))
     if truncated_at is not None:
         lines.append(f"# truncated at t={_fmt(truncated_at)}: {reason}")
     return "\n".join(lines) + "\n"

@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import GamePair, Payoff2x2, expected_payoff, interpolate
+from .game import GamePair, Payoff2x2
 
-CUBE_TOL = 1e-9
 PROTOCOL_MODES = ("env", "opinion")
-CLAMP_MODES = ("unit", "positive")
 
 
 class BlowupError(RuntimeError):
@@ -47,8 +45,7 @@ class SystemState:
 
     Construction only checks finiteness: producers (the integrator's cube
     projection, config validation) are responsible for keeping coordinates in
-    the cube, and the coupled dynamics rejects anything further than CUBE_TOL
-    outside it.
+    the cube.
     """
 
     x: float
@@ -96,144 +93,21 @@ class EnvParams:
             raise ValueError(f"psi must be nonpositive, got {self.psi!r}")
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative (dx, dn, dy) of the coupled system."""
-
-    dx: float
-    dn: float
-    dy: float
-
-    def __post_init__(self):
-        _coerce_finite(self, ("dx", "dn", "dy"))
-
-    def inf_norm(self) -> float:
-        return max(abs(self.dx), abs(self.dn), abs(self.dy))
-
-
-def replicator_rhs(state: SystemState, a_eff: Payoff2x2) -> float:
-    """x(1-x) times the payoff advantage of strategy 1 under a_eff."""
-    x = state.x
-    diff = expected_payoff(a_eff, 1, x) - expected_payoff(a_eff, 2, x)
-    return x * (1.0 - x) * diff
-
-
-def environment_rhs(state: SystemState, env: EnvParams) -> float:
-    """Logistic resource change driven by the strategy mix."""
-    return state.n * (1.0 - state.n) * (env.theta * state.x + env.psi * (1.0 - state.x))
-
-
-def opinion_weighted_payoff(i: int, state: SystemState, a_eff: Payoff2x2,
-                            trust: TrustMatrix) -> float:
-    """Trust-weighted population payoff as seen by holders of opinion mi.
-
-    This is the strategy-share-weighted sum of expected payoffs, each scaled
-    by the holder's trust in that strategy's players.
-    """
-    if i == 1:
-        bi1, bi2 = trust.b11, trust.b12
-    elif i == 2:
-        bi1, bi2 = trust.b21, trust.b22
-    else:
-        raise ValueError(f"opinion index must be 1 or 2, got {i!r}")
-    x = state.x
-    u1 = expected_payoff(a_eff, 1, x)
-    u2 = expected_payoff(a_eff, 2, x)
-    return x * u1 * bi1 + (1.0 - x) * u2 * bi2
-
-
-def _clamp_rate(value: float, clamp: str) -> float:
-    if clamp == "unit":
-        if value < 0.0:
-            return 0.0
-        if value > 1.0:
-            return 1.0
-        return value
-    if clamp == "positive":
-        return value if value > 0.0 else 0.0
-    raise ValueError(f"clamp mode must be one of {CLAMP_MODES}, got {clamp!r}")
-
-
-def imitation_rate(i: int, j: int, state: SystemState, a_eff: Payoff2x2,
-                   trust: TrustMatrix, clamp: str = "unit") -> float:
-    """Rate p_ij at which opinion-mi holders adopt opinion mj.
-
-    The raw rate is the share-weighted trusted-payoff difference
-    y_j*S_j - y_i*S_i, clamped to [0, 1] by default ("unit") or to its
-    positive part ("positive").
-    """
-    if i == j:
-        raise ValueError("imitation requires two distinct opinions")
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"opinion indices must be 1 or 2, got ({i!r}, {j!r})")
-    yi = state.y if i == 1 else 1.0 - state.y
-    yj = state.y if j == 1 else 1.0 - state.y
-    si = opinion_weighted_payoff(i, state, a_eff, trust)
-    sj = opinion_weighted_payoff(j, state, a_eff, trust)
-    return _clamp_rate(yj * sj - yi * si, clamp)
-
-
-def opinion_rhs(state: SystemState, a_eff: Payoff2x2, trust: TrustMatrix,
-                clamp: str = "unit") -> float:
-    """Mean-dynamics drift of the opinion share: (1-y)*p21 - y*p12."""
-    p21 = imitation_rate(2, 1, state, a_eff, trust, clamp)
-    p12 = imitation_rate(1, 2, state, a_eff, trust, clamp)
-    return (1.0 - state.y) * p21 - state.y * p12
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in PROTOCOL_MODES:
-        raise ValueError(
-            f"protocol_matrix_mode must be one of {PROTOCOL_MODES}, got {mode!r}"
-        )
-
-
-def coupled_rhs(state: SystemState, pair: GamePair, env: EnvParams,
-                trust: TrustMatrix, protocol_matrix_mode: str = "env") -> StateDerivative:
-    """Full derivative of the coupled system at state.
-
-    The replicator line always runs on the opinion-interpolated matrix A_y;
-    the imitation protocol runs on A_n in "env" mode (default) or on A_y in
-    "opinion" mode. Coordinates may stray from the unit cube by at most
-    CUBE_TOL (integration rounding); anything further raises BlowupError.
-    Within tolerance, coordinates are pinned to the cube before evaluation.
-    """
-    _check_mode(protocol_matrix_mode)
-    coords = []
-    for name, value in (("x", state.x), ("n", state.n), ("y", state.y)):
-        if not -CUBE_TOL <= value <= 1.0 + CUBE_TOL:
-            raise BlowupError(
-                f"state component {name}={value!r} escaped the unit cube",
-                component=name,
-            )
-        coords.append(min(1.0, max(0.0, value)))
-    pinned = SystemState(*coords)
-
-    a_rep = interpolate(pair, pinned.y)
-    dx = replicator_rhs(pinned, a_rep)
-    dn = environment_rhs(pinned, env)
-    if protocol_matrix_mode == "env":
-        a_prot = interpolate(pair, pinned.n)
-    else:
-        a_prot = a_rep
-    dy = opinion_rhs(pinned, a_prot, trust)
-    return StateDerivative(dx, dn, dy)
-
-
 def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
-             protocol_matrix_mode: str = "env", clamp: str = "unit"):
+             protocol_matrix_mode: str = "env"):
     """Compile the coupled system into a plain-float evaluator.
 
     Returns f with f(x, n, y) -> (dx, dn, dy, u1, u2, p12, p21): the
     derivative plus the strategy payoffs under the replicator matrix A_y and
-    the two protocol rates. Coordinates are pinned to [0, 1] before
-    evaluation. This is the hot path used by the integrator and the analysis
-    scans; it computes exactly what the individual *_rhs operations compose
-    to.
+    the two protocol rates, each clamped to [0, 1]. Coordinates are pinned
+    to [0, 1] before evaluation. This is the only place the model equations
+    are written: the integrator, the analysis scans and the single-line views
+    below all evaluate it.
     """
-    _check_mode(protocol_matrix_mode)
-    if clamp not in CLAMP_MODES:
-        raise ValueError(f"clamp mode must be one of {CLAMP_MODES}, got {clamp!r}")
+    if protocol_matrix_mode not in PROTOCOL_MODES:
+        raise ValueError(
+            f"protocol_matrix_mode must be one of {PROTOCOL_MODES}, got {protocol_matrix_mode!r}"
+        )
     a011, a012, a021, a022 = pair.a0.entries()
     a111, a112, a121, a122 = pair.a1.entries()
     # Per-entry equality flags keep interpolation exact when both games agree.
@@ -244,7 +118,6 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
     theta, psi = env.theta, env.psi
     b11, b12, b21, b22 = trust.entries()
     use_env = protocol_matrix_mode == "env"
-    unit = clamp == "unit"
 
     def rhs(x: float, n: float, y: float):
         if x < 0.0:
@@ -286,13 +159,48 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         s2 = x * v1 * b21 + (1.0 - x) * v2 * b22
         q21 = y * s1 - (1.0 - y) * s2
         q12 = (1.0 - y) * s2 - y * s1
-        if unit:
-            p21 = 0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)
-            p12 = 0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)
-        else:
-            p21 = q21 if q21 > 0.0 else 0.0
-            p12 = q12 if q12 > 0.0 else 0.0
+        p21 = 0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)
+        p12 = 0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)
         dy = (1.0 - y) * p21 - y * p12
         return dx, dn, dy, u1, u2, p12, p21
 
     return rhs
+
+
+# Placeholders for the inputs a single-line view does not read.
+_ANY_GAME = Payoff2x2(0.0, 0.0, 0.0, 0.0)
+_ANY_ENV = EnvParams(theta=1.0, psi=0.0)
+_ANY_TRUST = TrustMatrix(0.0, 0.0, 0.0, 0.0)
+
+
+def _evaluate(state: SystemState, a_eff: Payoff2x2 = _ANY_GAME, env: EnvParams = _ANY_ENV,
+              trust: TrustMatrix = _ANY_TRUST):
+    """make_rhs on the constant game a_eff, so both interpolated matrices
+    equal a_eff exactly."""
+    for name, value in (("x", state.x), ("n", state.n), ("y", state.y)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"state component {name}={value!r} outside [0, 1]")
+    return make_rhs(GamePair(a_eff, a_eff), env, trust)(state.x, state.n, state.y)
+
+
+def replicator_rhs(state: SystemState, a_eff: Payoff2x2) -> float:
+    """x(1-x) times the payoff advantage of strategy 1 under a_eff."""
+    return _evaluate(state, a_eff)[0]
+
+
+def environment_rhs(state: SystemState, env: EnvParams) -> float:
+    """Logistic resource change driven by the strategy mix."""
+    return _evaluate(state, env=env)[1]
+
+
+def imitation_rate(i: int, j: int, state: SystemState, a_eff: Payoff2x2,
+                   trust: TrustMatrix) -> float:
+    """Rate p_ij at which opinion-mi holders adopt opinion mj: the
+    share-weighted trusted-payoff difference y_j*S_j - y_i*S_i clamped to
+    [0, 1], where S_i sums each strategy's payoff under a_eff weighted by
+    its share and by the mi holders' trust in its players."""
+    if i == j:
+        raise ValueError("imitation requires two distinct opinions")
+    if i not in (1, 2) or j not in (1, 2):
+        raise ValueError(f"opinion indices must be 1 or 2, got ({i!r}, {j!r})")
+    return _evaluate(state, a_eff, trust=trust)[5 if i == 1 else 6]

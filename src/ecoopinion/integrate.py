@@ -73,17 +73,35 @@ class DerivedSample:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of a single deterministic run."""
+    """Time-ordered samples of a single deterministic run, stored as columns.
+
+    times[k] is the time of sample k; x, n and y hold the state and u1, u2,
+    u_avg, p12 and p21 the derived quantities of DerivedSample.
+    """
 
     times: tuple[float, ...]
-    states: tuple[SystemState, ...]
-    derived: tuple[DerivedSample, ...]
+    x: tuple[float, ...]
+    n: tuple[float, ...]
+    y: tuple[float, ...]
+    u1: tuple[float, ...]
+    u2: tuple[float, ...]
+    u_avg: tuple[float, ...]
+    p12: tuple[float, ...]
+    p21: tuple[float, ...]
     converged: bool
     t_converged: float | None
 
     @property
     def terminal(self) -> SystemState:
-        return self.states[-1]
+        return SystemState(self.x[-1], self.n[-1], self.y[-1])
+
+    @property
+    def states(self) -> tuple[SystemState, ...]:
+        return tuple(map(SystemState, self.x, self.n, self.y))
+
+    @property
+    def derived(self) -> tuple[DerivedSample, ...]:
+        return tuple(map(DerivedSample, self.u1, self.u2, self.u_avg, self.p12, self.p21))
 
 
 def _project(value: float, tol: float, component: str, t: float | None):
@@ -121,33 +139,42 @@ def _check_stage(kx: float, kn: float, ky: float, t: float | None) -> None:
             )
 
 
-def _rk4_raw(f, x, n, y, dt, k1, t=None):
-    """One unprojected RK4 update; k1 is the already-evaluated derivative at
-    (x, n, y)."""
+def _step(f, x, n, y, dt, k1, tol, rk4, t):
+    """One RK4 (rk4 true) or forward-Euler update from (x, n, y), projected
+    onto the cube; k1 is the already-evaluated derivative at (x, n, y) and t
+    the time stamped on a blowup."""
     k1x, k1n, k1y = k1[0], k1[1], k1[2]
     _check_stage(k1x, k1n, k1y, t)
-    h2 = 0.5 * dt
-    k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
-    k2x, k2n, k2y = k2[0], k2[1], k2[2]
-    _check_stage(k2x, k2n, k2y, t)
-    k3 = f(x + h2 * k2x, n + h2 * k2n, y + h2 * k2y)
-    k3x, k3n, k3y = k3[0], k3[1], k3[2]
-    _check_stage(k3x, k3n, k3y, t)
-    k4 = f(x + dt * k3x, n + dt * k3n, y + dt * k3y)
-    k4x, k4n, k4y = k4[0], k4[1], k4[2]
-    _check_stage(k4x, k4n, k4y, t)
-    s = dt / 6.0
+    if rk4:
+        h2 = 0.5 * dt
+        k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
+        k2x, k2n, k2y = k2[0], k2[1], k2[2]
+        _check_stage(k2x, k2n, k2y, t)
+        k3 = f(x + h2 * k2x, n + h2 * k2n, y + h2 * k2y)
+        k3x, k3n, k3y = k3[0], k3[1], k3[2]
+        _check_stage(k3x, k3n, k3y, t)
+        k4 = f(x + dt * k3x, n + dt * k3n, y + dt * k3y)
+        k4x, k4n, k4y = k4[0], k4[1], k4[2]
+        _check_stage(k4x, k4n, k4y, t)
+        s = dt / 6.0
+        nx = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        nn = n + s * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+        ny = y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    else:
+        nx, nn, ny = x + dt * k1x, n + dt * k1n, y + dt * k1y
     return (
-        x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        n + s * (k1n + 2.0 * k2n + 2.0 * k3n + k4n),
-        y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        nx if 0.0 <= nx <= 1.0 else _project(nx, tol, "x", t),
+        nn if 0.0 <= nn <= 1.0 else _project(nn, tol, "n", t),
+        ny if 0.0 <= ny <= 1.0 else _project(ny, tol, "y", t),
     )
 
 
-def _euler_raw(x, n, y, dt, k1, t=None):
-    k1x, k1n, k1y = k1[0], k1[1], k1[2]
-    _check_stage(k1x, k1n, k1y, t)
-    return (x + dt * k1x, n + dt * k1n, y + dt * k1y)
+def _single_step(state, pair, env, trust, dt, mode, tol, rk4) -> SystemState:
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    f = make_rhs(pair, env, trust, mode)
+    x, n, y = state.x, state.n, state.y
+    return SystemState(*_step(f, x, n, y, dt, f(x, n, y), tol, rk4, None))
 
 
 def rk4_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustMatrix,
@@ -155,16 +182,8 @@ def rk4_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustMat
              projection_tolerance: float = 1e-9) -> SystemState:
     """One classical fourth-order step of the coupled system, then cube
     projection."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    f = make_rhs(pair, env, trust, protocol_matrix_mode)
-    k1 = f(state.x, state.n, state.y)
-    nx, nn, ny = _rk4_raw(f, state.x, state.n, state.y, dt, k1)
-    return SystemState(
-        _project(nx, projection_tolerance, "x", None),
-        _project(nn, projection_tolerance, "n", None),
-        _project(ny, projection_tolerance, "y", None),
-    )
+    return _single_step(state, pair, env, trust, dt, protocol_matrix_mode,
+                        projection_tolerance, True)
 
 
 def euler_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustMatrix,
@@ -172,16 +191,8 @@ def euler_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustM
                projection_tolerance: float = 1e-9) -> SystemState:
     """One forward-Euler step, then cube projection; the low-order oracle for
     cross-checking rk4_step."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    f = make_rhs(pair, env, trust, protocol_matrix_mode)
-    k1 = f(state.x, state.n, state.y)
-    nx, nn, ny = _euler_raw(state.x, state.n, state.y, dt, k1)
-    return SystemState(
-        _project(nx, projection_tolerance, "x", None),
-        _project(nn, projection_tolerance, "n", None),
-        _project(ny, projection_tolerance, "y", None),
-    )
+    return _single_step(state, pair, env, trust, dt, protocol_matrix_mode,
+                        projection_tolerance, False)
 
 
 def simulate(scenario, method: str = "rk4") -> Trajectory:
@@ -215,17 +226,10 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     eps = st.eps_stationary
     record_every = st.record_every
 
-    times: list[float] = []
-    states: list[SystemState] = []
-    derived: list[DerivedSample] = []
+    rows: list[tuple[float, ...]] = []
 
     def record(t, x, n, y, ev):
-        times.append(t)
-        states.append(SystemState(x, n, y))
-        derived.append(DerivedSample(ev[3], ev[4], x * ev[3] + (1.0 - x) * ev[4], ev[5], ev[6]))
-
-    def partial_trajectory():
-        return Trajectory(tuple(times), tuple(states), tuple(derived), False, None)
+        rows.append((t, x, n, y, ev[3], ev[4], x * ev[3] + (1.0 - x) * ev[4], ev[5], ev[6]))
 
     cur = f(x, n, y)
     record(0.0, x, n, y, cur)
@@ -238,16 +242,9 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     while k < n_steps and not converged:
         t_prev = k * dt
         try:
-            if use_rk4:
-                nx, nn, ny = _rk4_raw(f, x, n, y, dt, cur, t_prev)
-            else:
-                nx, nn, ny = _euler_raw(x, n, y, dt, cur, t_prev)
-            x = nx if 0.0 <= nx <= 1.0 else _project(nx, tol, "x", t_prev)
-            n = nn if 0.0 <= nn <= 1.0 else _project(nn, tol, "n", t_prev)
-            y = ny if 0.0 <= ny <= 1.0 else _project(ny, tol, "y", t_prev)
+            x, n, y = _step(f, x, n, y, dt, cur, tol, use_rk4, t_prev)
         except BlowupError as err:
-            err.t = t_prev
-            err.partial = partial_trajectory()
+            err.partial = Trajectory(*zip(*rows), False, None)
             raise
         k += 1
         t = k * dt
@@ -265,4 +262,4 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     if last_recorded != k:
         record(k * dt, x, n, y, cur)
 
-    return Trajectory(tuple(times), tuple(states), tuple(derived), converged, t_converged)
+    return Trajectory(*zip(*rows), converged, t_converged)

@@ -5,11 +5,7 @@ from __future__ import annotations
 WIDTH = 800
 HEIGHT = 600
 _ML, _MR, _MT, _MB = 60, 24, 44, 52
-_SERIES = (
-    ("x", "#1f77b4", lambda s: s.x),
-    ("n", "#2ca02c", lambda s: s.n),
-    ("y", "#d62728", lambda s: s.y),
-)
+_SERIES = (("x", "#1f77b4"), ("n", "#2ca02c"), ("y", "#d62728"))
 
 
 def trajectory_svg(trajectory, title: str = "") -> str:
@@ -69,9 +65,9 @@ def trajectory_svg(trajectory, title: str = "") -> str:
         f'font-family="sans-serif" font-size="13">t</text>'
     )
 
-    for name, color, get in _SERIES:
+    for name, color in _SERIES:
         points = " ".join(
-            f"{px(t):.2f},{py(get(s)):.2f}" for t, s in zip(times, trajectory.states)
+            f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times, getattr(trajectory, name))
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -84,7 +80,7 @@ def trajectory_svg(trajectory, title: str = "") -> str:
         f'<rect x="{lx - 8}" y="{ly - 10}" width="150" height="{18 * len(_SERIES) + 8}" '
         f'fill="white" fill-opacity="0.85" stroke="#999" stroke-width="0.5"/>'
     )
-    for idx, (name, color, _) in enumerate(_SERIES):
+    for idx, (name, color) in enumerate(_SERIES):
         yy = ly + 18 * idx
         parts.append(
             f'<line x1="{lx}" y1="{yy:.2f}" x2="{lx + 24}" y2="{yy:.2f}" '

@@ -3,22 +3,17 @@ import random
 import pytest
 
 from ecoopinion import (
-    BlowupError,
     EnvParams,
     GamePair,
     Payoff2x2,
-    StateDerivative,
     SystemState,
     TrustMatrix,
-    coupled_rhs,
     environment_rhs,
     expected_payoff,
     hawk_dove_pair,
     imitation_rate,
     interpolate,
     make_rhs,
-    opinion_rhs,
-    opinion_weighted_payoff,
     replicator_rhs,
 )
 
@@ -34,6 +29,24 @@ def random_matrix(rng, lo=-10.0, hi=10.0):
 
 def random_state(rng):
     return SystemState(rng.random(), rng.random(), rng.random())
+
+
+def derivative(state, pair, env=ENV, trust=TRUST, mode="env"):
+    return make_rhs(pair, env, trust, mode)(state.x, state.n, state.y)[:3]
+
+
+def trusted_payoffs(x, a, trust):
+    # S_i = x*u1*b_i1 + (1-x)*u2*b_i2, written out independently of the library.
+    u1, u2 = expected_payoff(a, 1, x), expected_payoff(a, 2, x)
+    return (x * u1 * trust.b11 + (1.0 - x) * u2 * trust.b12,
+            x * u1 * trust.b21 + (1.0 - x) * u2 * trust.b22)
+
+
+def weighted_payoffs(x, a, trust):
+    """The library's trust-weighted payoffs (S1, S2), read off the protocol
+    rates: p21 = S1 at y = 1 and p12 = S2 at y = 0 when both lie in [0, 1]."""
+    return (imitation_rate(2, 1, SystemState(x, 0.5, 1.0), a, trust),
+            imitation_rate(1, 2, SystemState(x, 0.5, 0.0), a, trust))
 
 
 class TestReplicator:
@@ -79,19 +92,15 @@ class TestEnvironment:
 class TestOpinionWeightedPayoff:
     def test_zero_trust(self):
         zero = TrustMatrix(0, 0, 0, 0)
-        state = SystemState(0.4, 0.2, 0.7)
-        assert opinion_weighted_payoff(1, state, HD_PAIR.a0, zero) == 0.0
-        assert opinion_weighted_payoff(2, state, HD_PAIR.a0, zero) == 0.0
+        assert weighted_payoffs(0.4, HD_PAIR.a0, zero) == (0.0, 0.0)
 
     def test_half_trust_values(self):
         # u(e1, 0.5) = 0 and u(e2, 0.5) = 1 for the depleted hawk-dove game
-        state = SystemState(0.5, 0.2, 0.7)
-        assert opinion_weighted_payoff(1, state, HD_PAIR.a0, TRUST) == 0.0
-        assert opinion_weighted_payoff(2, state, HD_PAIR.a0, TRUST) == 0.25
+        assert weighted_payoffs(0.5, HD_PAIR.a0, TRUST) == (0.0, 0.25)
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            opinion_weighted_payoff(0, SystemState(0.5, 0.5, 0.5), HD_PAIR.a0, TRUST)
+            imitation_rate(0, 1, SystemState(0.5, 0.5, 0.5), HD_PAIR.a0, TRUST)
 
 
 class TestImitationRate:
@@ -99,8 +108,7 @@ class TestImitationRate:
         flat = Payoff2x2(1.0, 1.0, 1.0, 1.0)
         trust = TrustMatrix(0.3, 0.2, 0.25, 0.25)
         state = SystemState(0.5, 0.5, 0.5)
-        s1 = opinion_weighted_payoff(1, state, flat, trust)
-        s2 = opinion_weighted_payoff(2, state, flat, trust)
+        s1, s2 = weighted_payoffs(0.5, flat, trust)
         assert s1 == s2
         assert imitation_rate(1, 2, state, flat, trust) == 0.0
         assert imitation_rate(2, 1, state, flat, trust) == 0.0
@@ -113,8 +121,7 @@ class TestImitationRate:
     def test_matches_direct_formula(self):
         a_eff = interpolate(HD_PAIR, 0.5)
         state = SystemState(0.5, 0.5, 0.6)
-        s1 = opinion_weighted_payoff(1, state, a_eff, TRUST)
-        s2 = opinion_weighted_payoff(2, state, a_eff, TRUST)
+        s1, s2 = trusted_payoffs(0.5, a_eff, TRUST)
         direct = 0.6 * s1 - (1 - 0.6) * s2
         direct = min(1.0, max(0.0, direct))
         assert abs(imitation_rate(2, 1, state, a_eff, TRUST) - direct) <= 1e-15
@@ -128,29 +135,26 @@ class TestImitationRate:
             for i, j in ((1, 2), (2, 1)):
                 rate = imitation_rate(i, j, state, a, trust)
                 assert 0.0 <= rate <= 1.0
-                positive = imitation_rate(i, j, state, a, trust, clamp="positive")
-                assert positive >= 0.0
 
     def test_rejects_same_opinion(self):
         with pytest.raises(ValueError):
             imitation_rate(1, 1, SystemState(0.5, 0.5, 0.5), HD_PAIR.a0, TRUST)
 
-    def test_rejects_bad_clamp(self):
-        with pytest.raises(ValueError):
-            imitation_rate(1, 2, SystemState(0.5, 0.5, 0.5), HD_PAIR.a0, TRUST, clamp="none")
-
 
 class TestOpinionRhs:
+    """The opinion line dy of make_rhs on a constant game."""
+
     def test_boundary_with_nonnegative_payoffs(self):
+        pair = GamePair(PD_PAIR.a0, PD_PAIR.a0)
         for y in (0.0, 1.0):
-            state = SystemState(0.5, 0.5, y)
-            assert opinion_rhs(state, PD_PAIR.a0, TRUST) == 0.0
+            assert derivative(SystemState(0.5, 0.5, y), pair)[2] == 0.0
 
     def test_zero_trust_everywhere(self):
         rng = random.Random(6)
         zero = TrustMatrix(0, 0, 0, 0)
+        pair = GamePair(HD_PAIR.a0, HD_PAIR.a0)
         for _ in range(50):
-            assert opinion_rhs(random_state(rng), HD_PAIR.a0, zero) == 0.0
+            assert derivative(random_state(rng), pair, trust=zero)[2] == 0.0
 
     def test_consistency_with_scalar_rates(self):
         rng = random.Random(8)
@@ -159,80 +163,82 @@ class TestOpinionRhs:
             a = random_matrix(rng)
             trust = TrustMatrix(rng.random(), rng.random(), rng.random(), rng.random())
             y = state.y
-            s1 = opinion_weighted_payoff(1, state, a, trust)
-            s2 = opinion_weighted_payoff(2, state, a, trust)
+            s1, s2 = trusted_payoffs(state.x, a, trust)
             p21 = min(1.0, max(0.0, y * s1 - (1 - y) * s2))
             p12 = min(1.0, max(0.0, (1 - y) * s2 - y * s1))
             expect = (1 - y) * p21 - y * p12
-            assert abs(opinion_rhs(state, a, trust) - expect) <= 1e-14
+            dy = derivative(state, GamePair(a, a), trust=trust)[2]
+            assert abs(dy - expect) <= 1e-14
 
 
 class TestCoupledRhs:
+    """The coupled right-hand side as compiled by make_rhs."""
+
     def test_nonnegative_corner_is_fixed(self):
-        d = coupled_rhs(SystemState(0.0, 0.0, 0.0), PD_PAIR, ENV, TRUST)
-        assert (d.dx, d.dn, d.dy) == (0.0, 0.0, 0.0)
+        assert derivative(SystemState(0.0, 0.0, 0.0), PD_PAIR) == (0.0, 0.0, 0.0)
 
     def test_simultaneous_nulls(self):
         # x = 1/3 nulls the environment drift; y = 0 nulls the hawk-dove
         # replicator bracket through the depleted game's mixed equilibrium.
-        d = coupled_rhs(SystemState(1 / 3, 0.5, 0.0), HD_PAIR, ENV, TRUST)
-        assert abs(d.dx) <= 1e-12
-        assert abs(d.dn) <= 1e-12
+        dx, dn, _ = derivative(SystemState(1 / 3, 0.5, 0.0), HD_PAIR)
+        assert abs(dx) <= 1e-12
+        assert abs(dn) <= 1e-12
 
     def test_matches_independent_transcription(self):
         state = SystemState(0.5, 0.3, 0.45)
-        d = coupled_rhs(state, HD_PAIR, ENV, TRUST, "env")
-        tx, tn, ty = transcribe_rhs(state, HD_PAIR, ENV, TRUST)
-        assert abs(d.dx - tx) <= 1e-14
-        assert abs(d.dn - tn) <= 1e-14
-        assert abs(d.dy - ty) <= 1e-14
+        d = derivative(state, HD_PAIR, mode="env")
+        t = transcribe_rhs(state, HD_PAIR, ENV, TRUST, "env")
+        assert all(abs(a - b) <= 1e-14 for a, b in zip(d, t))
 
     def test_rejects_escaped_state(self):
-        with pytest.raises(BlowupError):
-            coupled_rhs(SystemState(-1e-8, 0.5, 0.5), HD_PAIR, ENV, TRUST)
-        with pytest.raises(BlowupError):
-            coupled_rhs(SystemState(0.5, 1.0 + 1e-8, 0.5), HD_PAIR, ENV, TRUST)
+        # make_rhs pins coordinates to the cube; the single-line views refuse
+        # a state outside it instead of evaluating at the pinned point.
+        with pytest.raises(ValueError):
+            replicator_rhs(SystemState(-1e-8, 0.5, 0.5), HD_PAIR.a0)
+        with pytest.raises(ValueError):
+            environment_rhs(SystemState(0.5, 1.0 + 1e-8, 0.5), ENV)
+        with pytest.raises(ValueError):
+            imitation_rate(1, 2, SystemState(0.5, 0.5, 1.0 + 1e-8), HD_PAIR.a0, TRUST)
 
     def test_accepts_rounding_overshoot(self):
-        d = coupled_rhs(SystemState(-1e-10, 0.5, 0.5), HD_PAIR, ENV, TRUST)
-        assert d.dx == 0.0
+        f = make_rhs(HD_PAIR, ENV, TRUST)
+        assert f(-1e-10, 0.5, 0.5)[:3] == f(0.0, 0.5, 0.5)[:3]
+        assert f(-1e-10, 0.5, 0.5)[0] == 0.0
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            coupled_rhs(SystemState(0.5, 0.5, 0.5), HD_PAIR, ENV, TRUST, "both")
+            make_rhs(HD_PAIR, ENV, TRUST, "both")
 
     def test_agrees_with_compiled_rhs(self):
         rng = random.Random(10)
         for pair in (HD_PAIR, PD_PAIR):
             for mode in ("env", "opinion"):
-                f = make_rhs(pair, ENV, TRUST, mode)
                 for _ in range(100):
                     state = random_state(rng)
-                    d = coupled_rhs(state, pair, ENV, TRUST, mode)
-                    fx, fn, fy = f(state.x, state.n, state.y)[:3]
-                    assert (d.dx, d.dn, d.dy) == (fx, fn, fy)
+                    d = derivative(state, pair, mode=mode)
+                    t = transcribe_rhs(state, pair, ENV, TRUST, mode)
+                    assert all(abs(a - b) <= 1e-14 for a, b in zip(d, t)), (pair, mode, state)
 
     def test_decoupled_when_games_match(self):
         pair = GamePair(PD_PAIR.a0, PD_PAIR.a0)
         rng = random.Random(12)
         x = 0.37
-        reference = coupled_rhs(SystemState(x, 0.5, 0.5), pair, ENV, TRUST).dx
+        reference = derivative(SystemState(x, 0.5, 0.5), pair)[0]
         for _ in range(100):
-            d = coupled_rhs(SystemState(x, rng.random(), rng.random()), pair, ENV, TRUST)
-            assert d.dx == reference
+            assert derivative(SystemState(x, rng.random(), rng.random()), pair)[0] == reference
 
     def test_protocol_mode_changes_opinion_line_only(self):
         state = SystemState(0.4, 0.2, 0.7)
-        d_env = coupled_rhs(state, HD_PAIR, ENV, TRUST, "env")
-        d_op = coupled_rhs(state, HD_PAIR, ENV, TRUST, "opinion")
-        assert d_env.dx == d_op.dx
-        assert d_env.dn == d_op.dn
-        assert d_env.dy != d_op.dy
+        d_env = derivative(state, HD_PAIR, mode="env")
+        d_op = derivative(state, HD_PAIR, mode="opinion")
+        assert d_env[:2] == d_op[:2]
+        assert d_env[2] != d_op[2]
 
 
-def transcribe_rhs(state, pair, env, trust):
+def transcribe_rhs(state, pair, env, trust, mode):
     # Plain rewrite of the three coupled equations, kept independent of the
-    # library's composition for cross-checking.
+    # library's composition for cross-checking. The protocol runs on A_n in
+    # "env" mode and on A_y in "opinion" mode.
     x, n, y = state.x, state.n, state.y
 
     def matrix_at(w):
@@ -247,9 +253,9 @@ def transcribe_rhs(state, pair, env, trust):
     ay = matrix_at(y)
     dx = x * (1 - x) * (payoff(ay, 1) - payoff(ay, 2))
     dn = n * (1 - n) * (env.theta * x + env.psi * (1 - x))
-    an = matrix_at(n)
+    ap = matrix_at(n) if mode == "env" else ay
     b = [[trust.b11, trust.b12], [trust.b21, trust.b22]]
-    s = [x * payoff(an, 1) * b[i][0] + (1 - x) * payoff(an, 2) * b[i][1] for i in (0, 1)]
+    s = [x * payoff(ap, 1) * b[i][0] + (1 - x) * payoff(ap, 2) * b[i][1] for i in (0, 1)]
     p21 = min(1.0, max(0.0, y * s[0] - (1 - y) * s[1]))
     p12 = min(1.0, max(0.0, (1 - y) * s[1] - y * s[0]))
     dy = (1 - y) * p21 - y * p12
@@ -269,10 +275,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             EnvParams(theta=2.0, psi=0.5)
         EnvParams(theta=2.0, psi=0.0)
-
-    def test_state_derivative_must_be_finite(self):
-        with pytest.raises(ValueError):
-            StateDerivative(float("nan"), 0.0, 0.0)
 
     def test_system_state_must_be_finite(self):
         with pytest.raises(ValueError):

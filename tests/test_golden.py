@@ -2,7 +2,8 @@
 
 Each case runs one CLI command on a shipped preset and compares the files it
 writes with the copies under tests/golden/. After an intended output change,
-rewrite the copies with `python tests/test_golden.py` and review the diff.
+rewrite the copies with `PYTHONPATH=src python tests/test_golden.py` and
+review the diff.
 """
 
 import pathlib

@@ -11,9 +11,9 @@ from ecoopinion import (
     Payoff2x2,
     SystemState,
     TrustMatrix,
-    coupled_rhs,
     euler_step,
     hawk_dove_pair,
+    make_rhs,
     rk4_step,
     simulate,
 )
@@ -77,11 +77,11 @@ class TestSteps:
         assert gap(one, state) < 1e-5
 
     def test_euler_is_one_explicit_increment(self):
-        d = coupled_rhs(START, HD_PAIR, ENV, TRUST)
+        dx, dn, dy = make_rhs(HD_PAIR, ENV, TRUST)(START.x, START.n, START.y)[:3]
         stepped = euler_step(START, HD_PAIR, ENV, TRUST, 0.01)
-        assert stepped.x == START.x + 0.01 * d.dx
-        assert stepped.n == START.n + 0.01 * d.dn
-        assert stepped.y == START.y + 0.01 * d.dy
+        assert stepped.x == START.x + 0.01 * dx
+        assert stepped.n == START.n + 0.01 * dn
+        assert stepped.y == START.y + 0.01 * dy
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -96,13 +96,16 @@ class TestSteps:
         err_fine = gap(end_state_at(sc, 1.0, 0.01), reference)
         assert err_coarse / err_fine >= 8.0
 
-    def test_matches_simulate_stepping(self):
+    @pytest.mark.parametrize("method, step", [("rk4", rk4_step), ("euler", euler_step)],
+                             ids=["rk4", "euler"])
+    def test_matches_simulate_stepping(self, method, step):
         sc = hd_scenario(settings=IntegratorSettings(dt=0.01, t_max=0.05, record_every=1,
                                                      eps_stationary=1e-300))
-        trajectory = simulate(sc)
+        trajectory = simulate(sc, method)
+        assert len(trajectory.times) == 6
         state = START
         for recorded in trajectory.states[1:]:
-            state = rk4_step(state, HD_PAIR, ENV, TRUST, 0.01)
+            state = step(state, HD_PAIR, ENV, TRUST, 0.01)
             assert state_bits(state) == state_bits(recorded)
 
 
@@ -149,9 +152,10 @@ class TestSimulate:
         sc = hd_scenario()
         trajectory = simulate(sc)
         assert trajectory.converged
-        d = coupled_rhs(trajectory.terminal, sc.pair, sc.env, sc.trust,
-                        sc.protocol_matrix_mode)
-        assert d.inf_norm() < sc.settings.eps_stationary
+        terminal = trajectory.terminal
+        f = make_rhs(sc.pair, sc.env, sc.trust, sc.protocol_matrix_mode)
+        d = f(terminal.x, terminal.n, terminal.y)
+        assert max(abs(d[0]), abs(d[1]), abs(d[2])) < sc.settings.eps_stationary
 
     def test_terminal_is_last_state(self):
         trajectory = simulate(hd_scenario())
