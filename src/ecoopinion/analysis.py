@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .dynamics import BlowupError, SystemState, make_rhs
 from .game import expected_payoff, interpolate
 from .integrate import simulate
-from .scenario import AXES
 
 RESIDUAL_TOL = 1e-10
 LABEL_RADIUS = 1e-3
@@ -260,9 +259,18 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     return records
 
 
-def _check_axis(axis: str) -> None:
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+def _known_fixed_points(scenario, fixed_points) -> list[FixedPointRecord]:
+    return list(fixed_points) if fixed_points is not None else find_fixed_points(scenario)
+
+
+def _run_and_label(scenario, records):
+    """Simulate scenario and name the basin of its terminal state: returns
+    (trajectory, label, distance), with label None when no record lies
+    within LABEL_RADIUS."""
+    trajectory = simulate(scenario)
+    record, dist = nearest_fixed_point(trajectory.terminal, records)
+    label = label_for(record) if record is not None and dist <= LABEL_RADIUS else None
+    return trajectory, label, dist
 
 
 def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
@@ -273,28 +281,21 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
     fixed point are flagged unresolved; per-cell simulation failures are
     recorded in the cell without aborting the scan. Cells are independent, so
     the scan could run them in parallel; assembly always follows grid order.
+    A bad axis or grid value raises ValueError before any cell runs.
     """
-    _check_axis(axis)
     grid = tuple(float(g) for g in grid)
-    for g in grid:
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"grid value {g!r} outside [0, 1]")
-    records = list(fixed_points) if fixed_points is not None else find_fixed_points(scenario)
+    starts = [scenario.with_initial(axis, g) for g in grid]
+    records = _known_fixed_points(scenario, fixed_points)
 
     cells = []
-    for g in grid:
+    for g, start in zip(grid, starts):
         try:
-            trajectory = simulate(scenario.with_initial(axis, g))
+            trajectory, label, _ = _run_and_label(start, records)
         except BlowupError as err:
             cells.append(BasinCell(g, None, None, False, True, str(err)))
             continue
-        record, dist = nearest_fixed_point(trajectory.terminal, records)
-        if record is not None and dist <= LABEL_RADIUS:
-            cells.append(BasinCell(g, trajectory.terminal, label_for(record),
-                                   trajectory.converged, False))
-        else:
-            cells.append(BasinCell(g, trajectory.terminal, None,
-                                   trajectory.converged, True))
+        cells.append(BasinCell(g, trajectory.terminal, label, trajectory.converged,
+                               label is None))
     return BasinMap(axis, grid, tuple(cells))
 
 
@@ -308,20 +309,18 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int =
     midpoint that resolves to no fixed point raises UnresolvedCellError;
     simulation failures propagate.
     """
-    _check_axis(axis)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    records = list(fixed_points) if fixed_points is not None else find_fixed_points(scenario)
+    records = _known_fixed_points(scenario, fixed_points)
 
     def label_at(value):
-        trajectory = simulate(scenario.with_initial(axis, value))
-        record, dist = nearest_fixed_point(trajectory.terminal, records)
-        if record is None or dist > LABEL_RADIUS:
+        _, label, dist = _run_and_label(scenario.with_initial(axis, value), records)
+        if label is None:
             raise UnresolvedCellError(
                 f"terminal state at {axis}={value:g} matches no known fixed point "
                 f"(nearest distance {dist:.3g})"
             )
-        return label_for(record)
+        return label
 
     lo_label = label_at(lo)
     hi_label = label_at(hi)

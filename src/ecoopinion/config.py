@@ -1,5 +1,6 @@
-"""Flat `key = value` scenario files: parsing, validation, serialization, and
-the shipped presets.
+"""Flat `key = value` scenario files: parsing, serialization, and the shipped
+presets. Config checks syntax only; each value's rules belong to the type
+that holds it, and its error is reported here at the key and line.
 
 Format rules: one `key = value` per line, `#` starts a comment, blank lines
 are ignored. Payoff matrices are four comma-separated entries row-major
@@ -10,12 +11,13 @@ omitted optional keys take the documented defaults.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from importlib.resources import files
 
-from .dynamics import EnvParams, SystemState, TrustMatrix, PROTOCOL_MODES
-from .game import GamePair, Payoff2x2, hawk_dove_pair
+from .dynamics import EnvParams, SystemState, TrustMatrix
+from .game import FieldError, GamePair, Payoff2x2, hawk_dove_matrix
 from .integrate import IntegratorSettings
-from .scenario import Scenario
+from .scenario import AXES, Scenario
 
 PRESET_NAMES = ("hawk-dove", "prisoners-dilemma")
 _PRESET_FILES = {
@@ -25,9 +27,11 @@ _PRESET_FILES = {
 
 _MATRIX_KEYS = ("a0", "a1")
 _HAWK_DOVE_KEYS = ("v0", "c0", "v1", "c1")
-_SCALAR_KEYS = ("theta", "psi", "x0", "n0", "y0", "b11", "b12", "b21", "b22")
-_SETTINGS_KEYS = ("dt", "t_max", "record_every", "eps_stationary", "hold_time",
-                  "projection_tolerance")
+_TRUST_KEYS = ("b11", "b12", "b21", "b22")
+_SCALAR_KEYS = ("theta", "psi") + AXES + _TRUST_KEYS
+# Each setting parses as the type of its default: record_every is an int.
+_SETTING_DEFAULTS = asdict(IntegratorSettings())
+_SETTINGS_KEYS = tuple(_SETTING_DEFAULTS)
 _OTHER_KEYS = ("label", "protocol_matrix_mode")
 _ALL_KEYS = frozenset(_MATRIX_KEYS + _HAWK_DOVE_KEYS + _SCALAR_KEYS
                       + _SETTINGS_KEYS + _OTHER_KEYS)
@@ -97,48 +101,41 @@ class _Builder:
         line = self.entries[key][1] if key in self.entries else None
         return ConfigError(message, key=key, line=line, source=self.source)
 
-    def float_value(self, key, default=None):
+    def value(self, key, parse=float, default=None):
+        """The entry for key parsed by parse, or default when it is absent;
+        a missing key with no default is an error."""
         if key not in self.entries:
             if default is None:
                 raise ConfigError("missing required key", key=key, source=self.source)
             return default
         raw = self.entries[key][0]
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise self.error(f"malformed number {raw!r}", key) from None
+            kind = "integer" if parse is int else "number"
+            raise self.error(f"malformed {kind} {raw!r}", key) from None
 
-    def int_value(self, key, default):
-        if key not in self.entries:
-            return default
-        raw = self.entries[key][0]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise self.error(f"malformed integer {raw!r}", key) from None
-        return value
-
-    def matrix_value(self, key):
-        raw = self.entries[key][0]
-        parts = [p.strip() for p in raw.split(",")]
+    def matrix(self, key):
+        raw = self.value(key, str)
+        parts = raw.split(",")
         if len(parts) != 4:
             raise self.error(
                 f"expected four comma-separated entries (a11, a12, a21, a22), got {len(parts)}",
                 key,
             )
         try:
-            values = [float(p) for p in parts]
+            return [float(p) for p in parts]
         except ValueError:
             raise self.error(f"malformed number in matrix {raw!r}", key) from None
-        try:
-            return Payoff2x2(*values)
-        except ValueError as exc:
-            raise self.error(str(exc), key) from None
 
-    def in_range(self, key, value, lo, hi):
-        if not lo <= value <= hi:
-            raise self.error(f"value {value!r} outside [{lo:g}, {hi:g}]", key)
-        return value
+    def build(self, factory, *args, key=None, suffix=""):
+        """factory(*args). The owning type checks its own rules; the field it
+        names in a FieldError is reported at config key `key`, or at the
+        field name plus suffix (hawk-dove "v" is key "v0" or "v1")."""
+        try:
+            return factory(*args)
+        except FieldError as exc:
+            raise self.error(str(exc), key or exc.key + suffix) from None
 
 
 def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
@@ -146,7 +143,7 @@ def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
 
     overrides is a sequence of KEY=VALUE strings applied on top of the file's
     entries before validation (the CLI's --set flag). Every failure raises
-    ConfigError naming the offending key and line.
+    ConfigError naming the offending key and, for a file entry, its line.
     """
     entries = _tokenize(text, source)
     _apply_overrides(entries, overrides, source)
@@ -162,23 +159,10 @@ def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
             source=source,
         )
     if has_matrices:
-        if len(has_matrices) != 2:
-            missing = [k for k in _MATRIX_KEYS if k not in entries][0]
-            raise ConfigError("missing required key", key=missing, source=source)
-        pair = GamePair(b.matrix_value("a0"), b.matrix_value("a1"))
+        pair = GamePair(*(b.build(Payoff2x2, *b.matrix(k), key=k) for k in _MATRIX_KEYS))
     elif has_hd:
-        if len(has_hd) != 4:
-            missing = [k for k in _HAWK_DOVE_KEYS if k not in entries][0]
-            raise ConfigError("missing required key", key=missing, source=source)
-        v0 = b.float_value("v0")
-        c0 = b.float_value("c0")
-        v1 = b.float_value("v1")
-        c1 = b.float_value("c1")
-        if not 0.0 < v0 < c0:
-            raise b.error(f"need 0 < v0 < c0, got v0={v0!r}, c0={c0!r}", "v0")
-        if not 0.0 < v1 < c1:
-            raise b.error(f"need 0 < v1 < c1, got v1={v1!r}, c1={c1!r}", "v1")
-        pair = hawk_dove_pair(v0, c0, v1, c1)
+        pair = GamePair(*(b.build(hawk_dove_matrix, b.value("v" + i), b.value("c" + i), suffix=i)
+                          for i in "01"))
     else:
         raise ConfigError(
             f"missing game definition: give {_MATRIX_KEYS} or {_HAWK_DOVE_KEYS}",
@@ -186,57 +170,14 @@ def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
             source=source,
         )
 
-    theta = b.float_value("theta")
-    psi = b.float_value("psi")
-    if theta <= 0.0:
-        raise b.error(f"theta must be positive, got {theta!r}", "theta")
-    if psi > 0.0:
-        raise b.error(f"psi must be nonpositive, got {psi!r}", "psi")
-    env = EnvParams(theta, psi)
-
-    trust_values = {}
-    for key in ("b11", "b12", "b21", "b22"):
-        trust_values[key] = b.in_range(key, b.float_value(key), 0.0, 1.0)
-    trust = TrustMatrix(**trust_values)
-
-    initial = SystemState(
-        b.in_range("x0", b.float_value("x0"), 0.0, 1.0),
-        b.in_range("n0", b.float_value("n0"), 0.0, 1.0),
-        b.in_range("y0", b.float_value("y0"), 0.0, 1.0),
-    )
-
-    defaults = IntegratorSettings()
-    dt = b.float_value("dt", defaults.dt)
-    if dt <= 0.0:
-        raise b.error(f"dt must be positive, got {dt!r}", "dt")
-    t_max = b.float_value("t_max", defaults.t_max)
-    if t_max < dt:
-        raise b.error(f"t_max={t_max!r} must be at least dt={dt!r}", "t_max")
-    record_every = b.int_value("record_every", defaults.record_every)
-    if record_every < 1:
-        raise b.error(f"record_every must be positive, got {record_every!r}", "record_every")
-    eps = b.float_value("eps_stationary", defaults.eps_stationary)
-    if eps <= 0.0:
-        raise b.error(f"eps_stationary must be positive, got {eps!r}", "eps_stationary")
-    hold = b.float_value("hold_time", defaults.hold_time)
-    if hold < 0.0:
-        raise b.error(f"hold_time must be nonnegative, got {hold!r}", "hold_time")
-    ptol = b.float_value("projection_tolerance", defaults.projection_tolerance)
-    if ptol <= 0.0:
-        raise b.error(f"projection_tolerance must be positive, got {ptol!r}", "projection_tolerance")
-    settings = IntegratorSettings(dt, t_max, record_every, eps, hold, ptol)
-
-    mode = entries.get("protocol_matrix_mode", ("env", None))[0]
-    if mode not in PROTOCOL_MODES:
-        raise b.error(
-            f"must be one of {PROTOCOL_MODES}, got {mode!r}", "protocol_matrix_mode"
-        )
-    label = entries.get("label", ("scenario", None))[0]
-
-    try:
-        return Scenario(pair, env, trust, initial, settings, mode, label)
-    except ValueError as exc:
-        raise ConfigError(str(exc), source=source) from exc
+    env = b.build(EnvParams, b.value("theta"), b.value("psi"))
+    trust = b.build(TrustMatrix, *(b.value(k) for k in _TRUST_KEYS))
+    initial = b.build(SystemState, *(b.value(k) for k in AXES), suffix="0")
+    settings = b.build(IntegratorSettings,
+                       *(b.value(k, type(v), v) for k, v in _SETTING_DEFAULTS.items()))
+    mode = b.value("protocol_matrix_mode", str, "env")
+    label = b.value("label", str, "scenario")
+    return b.build(Scenario, pair, env, trust, initial, settings, mode, label)
 
 
 def load_config(path, overrides=()) -> Scenario:

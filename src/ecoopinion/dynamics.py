@@ -13,10 +13,9 @@ the environment-interpolated game A_n by default ("env" mode) or on A_y
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .game import GamePair, Payoff2x2
+from .game import FieldError, GamePair, Payoff2x2, finite_fields
 
 PROTOCOL_MODES = ("env", "opinion")
 
@@ -31,21 +30,13 @@ class BlowupError(RuntimeError):
         self.partial = partial
 
 
-def _coerce_finite(obj, names) -> None:
-    for name in names:
-        value = float(getattr(obj, name))
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(obj, name, value)
-
-
 @dataclass(frozen=True)
 class SystemState:
     """Point (x, n, y); coordinates are expected in [0, 1].
 
     Construction only checks finiteness: producers (the integrator's cube
-    projection, config validation) are responsible for keeping coordinates in
-    the cube.
+    projection, Scenario's initial state) are responsible for keeping
+    coordinates in the cube.
     """
 
     x: float
@@ -53,7 +44,7 @@ class SystemState:
     y: float
 
     def __post_init__(self):
-        _coerce_finite(self, ("x", "n", "y"))
+        finite_fields(self, ("x", "n", "y"))
 
 
 @dataclass(frozen=True)
@@ -67,11 +58,12 @@ class TrustMatrix:
     b22: float
 
     def __post_init__(self):
-        _coerce_finite(self, ("b11", "b12", "b21", "b22"))
-        for name in ("b11", "b12", "b21", "b22"):
+        names = ("b11", "b12", "b21", "b22")
+        finite_fields(self, names)
+        for name in names:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"trust entry {name}={value!r} outside [0, 1]")
+                raise FieldError(name, f"trust entry {name}={value!r} outside [0, 1]")
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.b11, self.b12, self.b21, self.b22)
@@ -86,11 +78,11 @@ class EnvParams:
     psi: float
 
     def __post_init__(self):
-        _coerce_finite(self, ("theta", "psi"))
+        finite_fields(self, ("theta", "psi"))
         if self.theta <= 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta!r}")
+            raise FieldError("theta", f"theta must be positive, got {self.theta!r}")
         if self.psi > 0.0:
-            raise ValueError(f"psi must be nonpositive, got {self.psi!r}")
+            raise FieldError("psi", f"psi must be nonpositive, got {self.psi!r}")
 
 
 def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,

@@ -14,6 +14,28 @@ NASH_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
 
+class FieldError(ValueError):
+    """A value broke the domain rule of the field named by key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def finite(key: str, value) -> float:
+    """value as a float; FieldError under key unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise FieldError(key, f"{key} must be finite, got {value!r}")
+    return value
+
+
+def finite_fields(obj, names) -> None:
+    """Store each named field of the frozen dataclass obj as a finite float."""
+    for name in names:
+        object.__setattr__(obj, name, finite(name, getattr(obj, name)))
+
+
 def _lerp(p: float, q: float, w: float) -> float:
     # Exact at w=0, w=1 and whenever p == q; plain convex combination otherwise.
     if p == q:
@@ -32,11 +54,7 @@ class Payoff2x2:
     a22: float
 
     def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"payoff entry {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        finite_fields(self, ("a11", "a12", "a21", "a22"))
 
     def entries(self) -> tuple[float, float, float, float]:
         """Row-major (a11, a12, a21, a22)."""
@@ -97,11 +115,12 @@ def average_payoff(a: Payoff2x2, x: float) -> float:
 def hawk_dove_matrix(v: float, c: float) -> Payoff2x2:
     """Contest game over a resource worth v with fight cost c.
 
-    Requires 0 < v < c, which places the interior mixed equilibrium at hawk
-    share v/c.
+    Requires finite 0 < v < c, which places the interior mixed equilibrium at
+    hawk share v/c.
     """
-    if not (math.isfinite(v) and math.isfinite(c) and 0.0 < v < c):
-        raise ValueError(f"hawk-dove game needs 0 < v < c, got v={v!r}, c={c!r}")
+    v, c = finite("v", v), finite("c", c)
+    if not 0.0 < v < c:
+        raise FieldError("v", f"hawk-dove game needs 0 < v < c, got v={v!r}, c={c!r}")
     return Payoff2x2((v - c) / 2.0, v, 0.0, v / 2.0)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import BlowupError, EnvParams, GamePair, SystemState, TrustMatrix, make_rhs
+from .dynamics import BlowupError, SystemState, make_rhs
+from .game import FieldError, finite_fields
 
 METHODS = ("rk4", "euler")
 
@@ -34,25 +35,22 @@ class IntegratorSettings:
     projection_tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "eps_stationary", "hold_time", "projection_tolerance"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        finite_fields(self, ("dt", "t_max", "eps_stationary", "hold_time", "projection_tolerance"))
         if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+            raise FieldError("dt", f"dt must be positive, got {self.dt!r}")
         if self.t_max < self.dt:
-            raise ValueError(f"t_max={self.t_max!r} must be at least dt={self.dt!r}")
+            raise FieldError("t_max", f"t_max={self.t_max!r} must be at least dt={self.dt!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
-            raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+            raise FieldError("record_every",
+                             f"record_every must be a positive integer, got {self.record_every!r}")
         if self.eps_stationary <= 0.0:
-            raise ValueError(f"eps_stationary must be positive, got {self.eps_stationary!r}")
+            raise FieldError("eps_stationary",
+                             f"eps_stationary must be positive, got {self.eps_stationary!r}")
         if self.hold_time < 0.0:
-            raise ValueError(f"hold_time must be nonnegative, got {self.hold_time!r}")
+            raise FieldError("hold_time", f"hold_time must be nonnegative, got {self.hold_time!r}")
         if self.projection_tolerance <= 0.0:
-            raise ValueError(
-                f"projection_tolerance must be positive, got {self.projection_tolerance!r}"
-            )
+            raise FieldError("projection_tolerance", "projection_tolerance must be positive, "
+                             f"got {self.projection_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,11 @@ class Trajectory:
         return tuple(map(DerivedSample, self.u1, self.u2, self.u_avg, self.p12, self.p21))
 
 
-def _project(value: float, tol: float, component: str, t: float | None):
+def _project(value: float, tol: float, component: str, t: float):
     if value < 0.0:
         if value < -tol:
             raise BlowupError(
-                f"component {component} overshot the cube by {-value:.3e}"
-                + (f" at t={t:g}" if t is not None else "")
-                + "; reduce dt",
+                f"component {component} overshot the cube by {-value:.3e} at t={t:g}; reduce dt",
                 component=component,
                 t=t,
             )
@@ -118,9 +114,8 @@ def _project(value: float, tol: float, component: str, t: float | None):
     if value > 1.0:
         if value > 1.0 + tol:
             raise BlowupError(
-                f"component {component} overshot the cube by {value - 1.0:.3e}"
-                + (f" at t={t:g}" if t is not None else "")
-                + "; reduce dt",
+                f"component {component} overshot the cube by {value - 1.0:.3e} at t={t:g}; "
+                "reduce dt",
                 component=component,
                 t=t,
             )
@@ -128,12 +123,11 @@ def _project(value: float, tol: float, component: str, t: float | None):
     return value
 
 
-def _check_stage(kx: float, kn: float, ky: float, t: float | None) -> None:
+def _check_stage(kx: float, kn: float, ky: float, t: float) -> None:
     for component, value in (("x", kx), ("n", kn), ("y", ky)):
         if not math.isfinite(value):
             raise BlowupError(
-                f"non-finite derivative in component {component}"
-                + (f" at t={t:g}" if t is not None else ""),
+                f"non-finite derivative in component {component} at t={t:g}",
                 component=component,
                 t=t,
             )
@@ -169,32 +163,6 @@ def _step(f, x, n, y, dt, k1, tol, rk4, t):
     )
 
 
-def _single_step(state, pair, env, trust, dt, mode, tol, rk4) -> SystemState:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    f = make_rhs(pair, env, trust, mode)
-    x, n, y = state.x, state.n, state.y
-    return SystemState(*_step(f, x, n, y, dt, f(x, n, y), tol, rk4, None))
-
-
-def rk4_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustMatrix,
-             dt: float, protocol_matrix_mode: str = "env",
-             projection_tolerance: float = 1e-9) -> SystemState:
-    """One classical fourth-order step of the coupled system, then cube
-    projection."""
-    return _single_step(state, pair, env, trust, dt, protocol_matrix_mode,
-                        projection_tolerance, True)
-
-
-def euler_step(state: SystemState, pair: GamePair, env: EnvParams, trust: TrustMatrix,
-               dt: float, protocol_matrix_mode: str = "env",
-               projection_tolerance: float = 1e-9) -> SystemState:
-    """One forward-Euler step, then cube projection; the low-order oracle for
-    cross-checking rk4_step."""
-    return _single_step(state, pair, env, trust, dt, protocol_matrix_mode,
-                        projection_tolerance, False)
-
-
 def simulate(scenario, method: str = "rk4") -> Trajectory:
     """Integrate a scenario until t_max or stationarity.
 
@@ -216,10 +184,6 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
 
     x, n, y = scenario.initial.x, scenario.initial.n, scenario.initial.y
-    for name, value in (("x", x), ("n", n), ("y", y)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"initial {name}={value!r} outside [0, 1]")
-
     n_steps = int(math.floor(st.t_max / dt + 1e-9))
     hold_steps = int(math.ceil(st.hold_time / dt - 1e-9)) if st.hold_time > 0.0 else 0
     use_rk4 = method == "rk4"

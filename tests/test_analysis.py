@@ -19,6 +19,7 @@ from ecoopinion import (
     simulate,
     threshold_bisect,
 )
+from ecoopinion import analysis
 from ecoopinion.scenario import Scenario
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
@@ -137,11 +138,17 @@ class TestBasinScan:
         (cell,) = basin.cells
         assert cell.unresolved and cell.label is None and not cell.converged
 
-    def test_rejects_bad_axis_and_grid(self, hawk_dove):
+    def test_rejects_bad_axis_and_grid(self, hawk_dove, monkeypatch):
+        def no_cell_runs(scenario):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(analysis, "simulate", no_cell_runs)
         with pytest.raises(ValueError):
             basin_scan(hawk_dove, "z0", [0.5])
         with pytest.raises(ValueError):
             basin_scan(hawk_dove, "y0", [1.5])
+        with pytest.raises(ValueError):
+            basin_scan(hawk_dove, "y0", [0.5, float("nan")])
 
     def test_terminals_within_label_radius(self, hawk_dove):
         records = find_fixed_points(hawk_dove)

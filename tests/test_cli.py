@@ -161,6 +161,12 @@ class TestExitCodes:
                      "--out-csv", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_non_finite_value_exits_two(self, hd_cfg, tmp_path, capsys):
+        code = main(["fixed-points", "--config", str(hd_cfg), "--set", "theta=nan",
+                     "--out-json", str(tmp_path / "fp.json")])
+        assert code == 2
+        assert "key 'theta'" in capsys.readouterr().err
+
     def test_unwritable_output(self, hd_cfg, tmp_path):
         code = main(["simulate", "--config", str(hd_cfg),
                      "--out-csv", str(tmp_path / "missing-dir" / "x.csv")])

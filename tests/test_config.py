@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ecoopinion import (
@@ -17,9 +19,11 @@ from ecoopinion import (
 )
 from ecoopinion.scenario import Scenario
 
-MINIMAL = """
-a0 = 3.5, 1, 2, 0.75
-a1 = 4, 1, 4.5, 1.25
+MATRICES = """a0 = 3.5, 1, 2, 0.75
+a1 = 4, 1, 4.5, 1.25"""
+
+MINIMAL = f"""
+{MATRICES}
 theta = 2
 psi = -1
 b11 = 0.5
@@ -68,6 +72,8 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert "b11" in str(exc.value)
+        assert exc.value.key == "b11"
+        assert exc.value.line == text.splitlines().index("b11 = 1.5") + 1
 
     def test_unknown_key_reports_line(self):
         text = MINIMAL + "thetaa = 3\n"
@@ -139,12 +145,29 @@ y0 = 0.45
         (None, "record_every = 0", "record_every"),
         (None, "eps_stationary = 0", "eps_stationary"),
         (None, "hold_time = -1", "hold_time"),
+        ("theta = 2", "theta = nan", "theta"),
+        ("psi = -1", "psi = nan", "psi"),
+        (None, "dt = inf", "dt"),
+        (None, "t_max = inf", "t_max"),
+        (None, "eps_stationary = nan", "eps_stationary"),
+        (None, "hold_time = inf", "hold_time"),
+        (None, "projection_tolerance = nan", "projection_tolerance"),
+        ("b11 = 0.5", "b11 = nan", "b11"),
+        ("n0 = 0.3", "n0 = inf", "n0"),
+        ("a1 = 4, 1, 4.5, 1.25", "a1 = 4, 1, inf, 1.25", "a1"),
+        (None, "protocol_matrix_mode = both", "protocol_matrix_mode"),
+        pytest.param(MATRICES, "v0 = 4\nc0 = inf\nv1 = 7\nc1 = 10", "c0",
+                     id="hawk-dove-c0-inf"),
     ])
     def test_sign_and_range_checks(self, old, bad, key):
         text = MINIMAL + bad + "\n" if old is None else MINIMAL.replace(old, bad)
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert key in str(exc.value)
+        assert exc.value.key == key
+        key_lines = [k for k, line in enumerate(text.splitlines(), start=1)
+                     if line.split("=")[0].strip() == key]
+        assert [exc.value.line] == key_lines
 
     def test_not_key_value(self):
         with pytest.raises(ConfigError) as exc:
@@ -177,6 +200,7 @@ class TestOverrides:
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL, overrides=("b11=1.5",))
         assert "b11" in str(exc.value)
+        assert exc.value.key == "b11" and exc.value.line is None
 
 
 class TestRoundTrip:
@@ -198,6 +222,15 @@ class TestRoundTrip:
             label="round-trip probe",
         )
         assert parse_config(dumps_config(sc)) == sc
+
+    @pytest.mark.parametrize("label", [
+        " padded ", "a\rb", "a\x0cb", "a\u2028b", "a\nb", "a#b", "",
+    ])
+    def test_rejects_labels_that_do_not_round_trip(self, label):
+        sc = preset_scenario("hawk-dove")
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(sc, label=label)
+        assert exc.value.key == "label"
 
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "scenario.cfg"

@@ -270,10 +270,15 @@ class TestValidation:
             TrustMatrix(0.5, -0.1, 0.0, 0.5)
 
     def test_env_params_signs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             EnvParams(theta=0.0, psi=-1.0)
-        with pytest.raises(ValueError):
+        assert exc.value.key == "theta"
+        with pytest.raises(ValueError) as exc:
             EnvParams(theta=2.0, psi=0.5)
+        assert exc.value.key == "psi"
+        with pytest.raises(ValueError) as exc:
+            EnvParams(theta=2.0, psi=float("nan"))
+        assert exc.value.key == "psi"
         EnvParams(theta=2.0, psi=0.0)
 
     def test_system_state_must_be_finite(self):

@@ -203,7 +203,16 @@ class TestPdConditions:
 
 
 def test_payoff_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         Payoff2x2(1.0, math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    assert exc.value.key == "a12"
+    with pytest.raises(ValueError) as exc:
         Payoff2x2(math.inf, 0.0, 0.0, 0.0)
+    assert exc.value.key == "a11"
+
+
+@pytest.mark.parametrize("v,c,key", [(4, math.inf, "c"), (math.nan, 4, "v"), (5, 4, "v")])
+def test_hawk_dove_error_names_field(v, c, key):
+    with pytest.raises(ValueError) as exc:
+        hawk_dove_matrix(v, c)
+    assert exc.value.key == key
