@@ -8,6 +8,7 @@ import sys
 
 from .analysis import (
     NoBoundaryError,
+    UnresolvedCellError,
     basin_scan,
     find_fixed_points,
     label_for,
@@ -144,7 +145,7 @@ def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
         try:
             boundary = threshold_bisect(scenario, axis, switches[0][0], switches[0][1],
                                         fixed_points=records)
-        except (NoBoundaryError, BlowupError) as err:
+        except (NoBoundaryError, UnresolvedCellError, BlowupError) as err:
             print(f"warning: boundary bisection failed: {err}", file=sys.stderr)
 
     if out_json is not None:
@@ -171,27 +172,6 @@ def run_fixed_points(scenario, out_json) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    scenario = load_config(args.config, overrides=args.set or ())
-    return run_simulate(scenario, args.out_csv, args.out_json, args.out_svg)
-
-
-def _cmd_sweep(args) -> int:
-    scenario = load_config(args.config, overrides=args.set or ())
-    grid = _parse_grid(args.grid)
-    return run_sweep(scenario, args.axis, grid, args.out_csv, args.out_json)
-
-
-def _cmd_fixed_points(args) -> int:
-    scenario = load_config(args.config, overrides=args.set or ())
-    return run_fixed_points(scenario, args.out_json)
-
-
-def _cmd_preset(args) -> int:
-    _write_text(args.write, preset_text(args.name))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecoopinion",
@@ -199,35 +179,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "environmental feedback and opinion imitation dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command that runs a scenario loads it from --config and --set.
+    scenario_args = argparse.ArgumentParser(add_help=False)
+    scenario_args.add_argument("--config", required=True, help="scenario config file")
+    scenario_args.add_argument("--set", action="append", metavar="KEY=VALUE",
+                               help="override a config key (repeatable)")
 
-    p_sim = sub.add_parser("simulate", help="integrate one scenario")
-    p_sim.add_argument("--config", required=True, help="scenario config file")
-    p_sim.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
+    p_sim = sub.add_parser("simulate", parents=[scenario_args], help="integrate one scenario")
     p_sim.add_argument("--out-csv", required=True, help="trajectory CSV path")
     p_sim.add_argument("--out-json", help="summary JSON path")
     p_sim.add_argument("--out-svg", help="time-series SVG chart path")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(run=lambda scenario, args: run_simulate(
+        scenario, args.out_csv, args.out_json, args.out_svg))
 
-    p_sweep = sub.add_parser("sweep", help="basin scan over one initial-condition axis")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p_sweep = sub.add_parser("sweep", parents=[scenario_args],
+                             help="basin scan over one initial-condition axis")
     p_sweep.add_argument("--axis", required=True, choices=AXES)
     p_sweep.add_argument("--grid", required=True, metavar="lo:hi:count")
     p_sweep.add_argument("--out-csv", required=True)
     p_sweep.add_argument("--out-json")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(run=lambda scenario, args: run_sweep(
+        scenario, args.axis, _parse_grid(args.grid), args.out_csv, args.out_json))
 
-    p_fp = sub.add_parser("fixed-points", help="enumerate verified stationary states")
-    p_fp.add_argument("--config", required=True)
-    p_fp.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p_fp = sub.add_parser("fixed-points", parents=[scenario_args],
+                          help="enumerate verified stationary states")
     p_fp.add_argument("--out-json", required=True)
-    p_fp.set_defaults(func=_cmd_fixed_points)
+    p_fp.set_defaults(run=lambda scenario, args: run_fixed_points(scenario, args.out_json))
 
     p_preset = sub.add_parser("preset", help="write a shipped preset config")
     p_preset.add_argument("name", choices=PRESET_NAMES)
     p_preset.add_argument("--write", required=True, help="destination path")
-    p_preset.set_defaults(func=_cmd_preset)
 
     return parser
 
@@ -235,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "preset":
+            _write_text(args.write, preset_text(args.name))
+            return 0
+        return args.run(load_config(args.config, overrides=args.set or ()), args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

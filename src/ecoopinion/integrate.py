@@ -1,10 +1,11 @@
 """Deterministic fixed-step integration of the coupled system.
 
 Classical RK4 is the production scheme; forward Euler is kept alongside as an
-independent low-order cross-check. After every step each coordinate is
-projected back onto [0, 1]: the exact dynamics leave the cube invariant, so
-only rounding-scale overshoot is legitimate and anything larger aborts the
-run.
+independent low-order cross-check. The exact dynamics leave the unit cube
+invariant, so each step's only check is that the new state lies in it. A step
+that leaves it is diagnosed off the hot path: a non-finite derivative or an
+overshoot beyond the projection tolerance aborts the run, and rounding-scale
+overshoot is clipped back onto [0, 1].
 """
 
 from __future__ import annotations
@@ -102,65 +103,25 @@ class Trajectory:
         return tuple(map(DerivedSample, self.u1, self.u2, self.u_avg, self.p12, self.p21))
 
 
-def _project(value: float, tol: float, component: str, t: float):
-    if value < 0.0:
-        if value < -tol:
+def _leave_cube(stages, state, tol, t):
+    """Diagnose a step from time t whose result (x, n, y) = state left the
+    cube: raise BlowupError at the first non-finite stage derivative (stage
+    by stage, x, n, y within each), else at the first component beyond the
+    cube by more than tol; otherwise return state clipped onto the cube."""
+    for k in stages:
+        for component, value in zip("xny", k[:3]):
+            if not math.isfinite(value):
+                raise BlowupError(f"non-finite derivative in component {component} at t={t:g}",
+                                  component=component, t=t)
+    clipped = []
+    for component, value in zip("xny", state):
+        if value < -tol or value > 1.0 + tol:
+            over = -value if value < 0.0 else value - 1.0
             raise BlowupError(
-                f"component {component} overshot the cube by {-value:.3e} at t={t:g}; reduce dt",
-                component=component,
-                t=t,
-            )
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + tol:
-            raise BlowupError(
-                f"component {component} overshot the cube by {value - 1.0:.3e} at t={t:g}; "
-                "reduce dt",
-                component=component,
-                t=t,
-            )
-        return 1.0
-    return value
-
-
-def _check_stage(kx: float, kn: float, ky: float, t: float) -> None:
-    for component, value in (("x", kx), ("n", kn), ("y", ky)):
-        if not math.isfinite(value):
-            raise BlowupError(
-                f"non-finite derivative in component {component} at t={t:g}",
-                component=component,
-                t=t,
-            )
-
-
-def _step(f, x, n, y, dt, k1, tol, rk4, t):
-    """One RK4 (rk4 true) or forward-Euler update from (x, n, y), projected
-    onto the cube; k1 is the already-evaluated derivative at (x, n, y) and t
-    the time stamped on a blowup."""
-    k1x, k1n, k1y = k1[0], k1[1], k1[2]
-    _check_stage(k1x, k1n, k1y, t)
-    if rk4:
-        h2 = 0.5 * dt
-        k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
-        k2x, k2n, k2y = k2[0], k2[1], k2[2]
-        _check_stage(k2x, k2n, k2y, t)
-        k3 = f(x + h2 * k2x, n + h2 * k2n, y + h2 * k2y)
-        k3x, k3n, k3y = k3[0], k3[1], k3[2]
-        _check_stage(k3x, k3n, k3y, t)
-        k4 = f(x + dt * k3x, n + dt * k3n, y + dt * k3y)
-        k4x, k4n, k4y = k4[0], k4[1], k4[2]
-        _check_stage(k4x, k4n, k4y, t)
-        s = dt / 6.0
-        nx = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        nn = n + s * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-        ny = y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    else:
-        nx, nn, ny = x + dt * k1x, n + dt * k1n, y + dt * k1y
-    return (
-        nx if 0.0 <= nx <= 1.0 else _project(nx, tol, "x", t),
-        nn if 0.0 <= nn <= 1.0 else _project(nn, tol, "n", t),
-        ny if 0.0 <= ny <= 1.0 else _project(ny, tol, "y", t),
-    )
+                f"component {component} overshot the cube by {over:.3e} at t={t:g}; reduce dt",
+                component=component, t=t)
+        clipped.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
+    return clipped
 
 
 def simulate(scenario, method: str = "rk4") -> Trajectory:
@@ -187,6 +148,8 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     n_steps = int(math.floor(st.t_max / dt + 1e-9))
     hold_steps = int(math.ceil(st.hold_time / dt - 1e-9)) if st.hold_time > 0.0 else 0
     use_rk4 = method == "rk4"
+    h2 = 0.5 * dt
+    s = dt / 6.0
     eps = st.eps_stationary
     record_every = st.record_every
 
@@ -204,12 +167,28 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     last_recorded = 0
 
     while k < n_steps and not converged:
-        t_prev = k * dt
-        try:
-            x, n, y = _step(f, x, n, y, dt, cur, tol, use_rk4, t_prev)
-        except BlowupError as err:
-            err.partial = Trajectory(*zip(*rows), False, None)
-            raise
+        k1x, k1n, k1y = cur[0], cur[1], cur[2]
+        if use_rk4:
+            k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
+            k2x, k2n, k2y = k2[0], k2[1], k2[2]
+            k3 = f(x + h2 * k2x, n + h2 * k2n, y + h2 * k2y)
+            k3x, k3n, k3y = k3[0], k3[1], k3[2]
+            k4 = f(x + dt * k3x, n + dt * k3n, y + dt * k3y)
+            nx = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4[0])
+            nn = n + s * (k1n + 2.0 * k2n + 2.0 * k3n + k4[1])
+            ny = y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4[2])
+        else:
+            nx, nn, ny = x + dt * k1x, n + dt * k1n, y + dt * k1y
+        # NaN fails this test too, and a non-finite stage derivative always
+        # leaves its component of the new state non-finite.
+        if not (0.0 <= nx <= 1.0 and 0.0 <= nn <= 1.0 and 0.0 <= ny <= 1.0):
+            try:
+                nx, nn, ny = _leave_cube((cur, k2, k3, k4) if use_rk4 else (cur,),
+                                         (nx, nn, ny), tol, k * dt)
+            except BlowupError as err:
+                err.partial = Trajectory(*zip(*rows), False, None)
+                raise
+        x, n, y = nx, nn, ny
         k += 1
         t = k * dt
         cur = f(x, n, y)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dynamics import EnvParams, GamePair, SystemState, TrustMatrix, PROTOCOL_MODES
-from .game import FieldError
+from .game import FieldError, finite
 from .integrate import IntegratorSettings
 
 AXES = ("x0", "n0", "y0")
@@ -48,4 +48,4 @@ class Scenario:
         if axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
         # Axis "x0" sets the state's field "x", and so on.
-        return replace(self, initial=replace(self.initial, **{axis[0]: value}))
+        return replace(self, initial=replace(self.initial, **{axis[0]: finite(axis, value)}))

@@ -147,8 +147,9 @@ class TestBasinScan:
             basin_scan(hawk_dove, "z0", [0.5])
         with pytest.raises(ValueError):
             basin_scan(hawk_dove, "y0", [1.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             basin_scan(hawk_dove, "y0", [0.5, float("nan")])
+        assert exc.value.key == "y0"
 
     def test_terminals_within_label_radius(self, hawk_dove):
         records = find_fixed_points(hawk_dove)

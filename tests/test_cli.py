@@ -117,6 +117,17 @@ class TestSweep:
         assert switches == 1
         assert 0.45 < summary["boundary"] < 0.55
 
+    def test_unresolved_bisection_point_warns(self, hd_cfg, tmp_path, capsys):
+        json_path = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(hd_cfg), "--set", "t_max=25", "--axis", "y0",
+                     "--grid", "0:1:21", "--out-csv", str(tmp_path / "sweep.csv"),
+                     "--out-json", str(json_path)])
+        assert code == 0
+        assert json.loads(json_path.read_text())["boundary"] is None
+        err = capsys.readouterr().err
+        assert err.startswith("warning: boundary bisection failed: terminal state at y0=")
+        assert "matches no known fixed point" in err
+
     def test_single_cell(self, hd_cfg, tmp_path):
         csv_path = tmp_path / "one.csv"
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",

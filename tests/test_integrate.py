@@ -14,6 +14,7 @@ from ecoopinion import (
     TrustMatrix,
     hawk_dove_pair,
     make_rhs,
+    preset_scenario,
     simulate,
 )
 from ecoopinion.scenario import Scenario
@@ -220,7 +221,32 @@ class TestBlowup:
         big = Payoff2x2(1.7e308, 1.7e308, -1.7e308, -1.7e308)
         pair = GamePair(big, big)
         sc = Scenario(pair, ENV, TRUST, SystemState(0.5, 0.5, 0.5))
+        for method in ("rk4", "euler"):
+            with pytest.raises(BlowupError) as exc:
+                simulate(sc, method)
+            assert str(exc.value) == "non-finite derivative in component x at t=0"
+            assert exc.value.component == "x"
+            assert exc.value.t == 0.0
+
+    @staticmethod
+    def coarse_pd_euler(tolerance):
+        sc = preset_scenario("prisoners-dilemma")
+        settings = dataclasses.replace(sc.settings, dt=1.0, record_every=1,
+                                       projection_tolerance=tolerance)
+        return dataclasses.replace(sc, settings=settings)
+
+    def test_small_overshoot_is_clipped_onto_cube(self):
+        trajectory = simulate(self.coarse_pd_euler(0.01), "euler")
+        assert trajectory.converged
+        k = trajectory.times.index(79.0)
+        assert trajectory.x[k] == 1.0
+        assert trajectory.x[k - 1] < 1.0
+
+    def test_overshoot_beyond_tolerance_keeps_partial(self):
         with pytest.raises(BlowupError) as exc:
-            simulate(sc)
-        assert exc.value.component in ("x", "n", "y")
-        assert exc.value.t is not None
+            simulate(self.coarse_pd_euler(1e-3), "euler")
+        err = exc.value
+        assert str(err) == "component x overshot the cube by 6.702e-03 at t=78; reduce dt"
+        assert err.component == "x"
+        assert err.t == 78.0
+        assert err.partial.times == tuple(float(k) for k in range(79))
