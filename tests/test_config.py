@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -183,6 +184,57 @@ y0 = 0.45
         assert parse_config(text).label == "pd"
 
 
+    # Every syntax error, pinned exactly: (text or override, str(exc), key, line).
+    @pytest.mark.parametrize("text,overrides,message,key,line", [
+        pytest.param(MINIMAL + "just words\n", (),
+                     "<config>, line 13: expected 'key = value'", None, 13, id="not-key-value"),
+        pytest.param(MINIMAL + " = 3\n", (), "<config>, line 13: empty key", None, 13,
+                     id="empty-key"),
+        pytest.param(MINIMAL + "thetaa = 3\n", (),
+                     "<config>, line 13, key 'thetaa': unknown key", "thetaa", 13, id="unknown-key"),
+        pytest.param(MINIMAL + "theta = 3\n", (),
+                     "<config>, line 13, key 'theta': duplicate key", "theta", 13,
+                     id="duplicate-key"),
+        pytest.param(MINIMAL + "label =  # none\n", (),
+                     "<config>, line 13, key 'label': empty value", "label", 13, id="empty-value"),
+        pytest.param(MINIMAL.replace("theta = 2", "theta = two"), (),
+                     "<config>, line 4, key 'theta': malformed number 'two'", "theta", 4,
+                     id="malformed-number"),
+        pytest.param(MINIMAL + "record_every = 2.5\n", (),
+                     "<config>, line 13, key 'record_every': malformed integer '2.5'",
+                     "record_every", 13, id="malformed-integer"),
+        pytest.param(MINIMAL.replace("a0 = 3.5, 1, 2, 0.75", "a0 = 3.5, 1, 2"), (),
+                     "<config>, line 2, key 'a0': expected four comma-separated entries "
+                     "(a11, a12, a21, a22), got 3", "a0", 2, id="matrix-three-entries"),
+        pytest.param(MINIMAL.replace("a1 = 4, 1, 4.5, 1.25", "a1 = 4, x, 4.5, 1"), (),
+                     "<config>, line 3, key 'a1': malformed number in matrix '4, x, 4.5, 1'",
+                     "a1", 3, id="matrix-malformed-entry"),
+        pytest.param(MINIMAL.replace("theta = 2\n", ""), (),
+                     "<config>, key 'theta': missing required key", "theta", None,
+                     id="missing-required-key"),
+        pytest.param(MINIMAL.replace(MATRICES + "\n", ""), (),
+                     "<config>, key 'a0': missing game definition: give ('a0', 'a1') or "
+                     "('v0', 'c0', 'v1', 'c1')", "a0", None, id="missing-game"),
+        pytest.param(MINIMAL + "c1 = 4\n", (),
+                     "<config>, key 'c1': give either matrices ('a0', 'a1') or hawk-dove "
+                     "parameters ('v0', 'c0', 'v1', 'c1'), not both", "c1", None,
+                     id="both-game-forms"),
+        pytest.param(MINIMAL, ("oops",), "<config>: override 'oops' is not KEY=VALUE",
+                     None, None, id="override-oops"),
+        pytest.param(MINIMAL, ("",), "<config>: override '' is not KEY=VALUE",
+                     None, None, id="override-empty"),
+        pytest.param(MINIMAL, ("zz=1",), "<config>, key 'zz': unknown key in --set override",
+                     "zz", None, id="override-unknown-key"),
+        pytest.param(MINIMAL, ("y0=",), "<config>, key 'y0': empty value in --set override",
+                     "y0", None, id="override-empty-value"),
+    ])
+    def test_error_pinned(self, text, overrides, message, key, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, overrides=overrides)
+        assert (str(exc.value), exc.value.key, exc.value.line, exc.value.source) == (
+            message, key, line, "<config>")
+
+
 class TestOverrides:
     def test_set_initial_condition(self):
         sc = parse_config(MINIMAL, overrides=("y0=0.7",))
@@ -222,6 +274,30 @@ class TestRoundTrip:
             label="round-trip probe",
         )
         assert parse_config(dumps_config(sc)) == sc
+
+    def test_random_scenarios_round_trip(self):
+        rng = random.Random(20261018)
+
+        def draw():
+            return rng.choice([rng.uniform(-1e3, 1e3), rng.uniform(-1, 1), 0.0, 1 / 3,
+                               rng.uniform(-1e-300, 1e-300), rng.uniform(-1e300, 1e300)])
+
+        for k in range(200):
+            sc = Scenario(
+                GamePair(Payoff2x2(*(draw() for _ in range(4))),
+                         Payoff2x2(*(draw() for _ in range(4)))),
+                EnvParams(rng.uniform(1e-9, 50), -rng.uniform(0, 50)),
+                TrustMatrix(*(rng.choice([rng.random(), 0.0, 1.0]) for _ in range(4))),
+                SystemState(*(rng.choice([rng.random(), 0.0, 1.0]) for _ in range(3))),
+                IntegratorSettings(dt=rng.uniform(1e-4, 1), t_max=rng.uniform(1, 1e4),
+                                   record_every=rng.randint(1, 1000),
+                                   eps_stationary=rng.uniform(1e-14, 1e-2),
+                                   hold_time=rng.uniform(0, 10),
+                                   projection_tolerance=rng.uniform(1e-15, 1e-3)),
+                protocol_matrix_mode=("env", "opinion")[k % 2],
+                label=rng.choice(["scenario", "pd run", f"probe-{k}", "a=b, c"]),
+            )
+            assert parse_config(dumps_config(sc)) == sc
 
     @pytest.mark.parametrize("label", [
         " padded ", "a\rb", "a\x0cb", "a\u2028b", "a\nb", "a#b", "",
