@@ -110,7 +110,8 @@ def _parse_grid(spec: str) -> list[float]:
     if not lo < hi:
         raise ConfigError(f"grid needs lo < hi for more than one point, got {spec!r}")
     step = (hi - lo) / (count - 1)
-    return [lo + step * k for k in range(count)]
+    # lo + step*(count-1) can round past hi, and past the cube when hi is 1.
+    return [lo + step * k for k in range(count - 1)] + [hi]
 
 
 def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:

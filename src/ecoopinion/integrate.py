@@ -41,6 +41,9 @@ class IntegratorSettings:
             raise FieldError("dt", f"dt must be positive, got {self.dt!r}")
         if self.t_max < self.dt:
             raise FieldError("t_max", f"t_max={self.t_max!r} must be at least dt={self.dt!r}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise FieldError("dt", "step count t_max/dt is not finite for "
+                             f"t_max={self.t_max!r}, dt={self.dt!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise FieldError("record_every",
                              f"record_every must be a positive integer, got {self.record_every!r}")
@@ -49,6 +52,9 @@ class IntegratorSettings:
                              f"eps_stationary must be positive, got {self.eps_stationary!r}")
         if self.hold_time < 0.0:
             raise FieldError("hold_time", f"hold_time must be nonnegative, got {self.hold_time!r}")
+        if not math.isfinite(self.hold_time / self.dt):
+            raise FieldError("hold_time", "step count hold_time/dt is not finite for "
+                             f"hold_time={self.hold_time!r}, dt={self.dt!r}")
         if self.projection_tolerance <= 0.0:
             raise FieldError("projection_tolerance", "projection_tolerance must be positive, "
                              f"got {self.projection_tolerance!r}")

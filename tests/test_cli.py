@@ -136,6 +136,15 @@ class TestSweep:
         _, rows = read_rows(csv_path)
         assert len(rows) == 1
 
+    def test_grid_ends_exactly_at_hi(self, hd_cfg, tmp_path):
+        json_path = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
+                     "--grid", "0.1:1:8", "--out-csv", str(tmp_path / "sweep.csv"),
+                     "--out-json", str(json_path)])
+        assert code == 0
+        grid = json.loads(json_path.read_text())["grid"]
+        assert len(grid) == 8 and grid[0] == 0.1 and grid[-1] == 1.0
+
     def test_bad_grid_spec(self, hd_cfg, tmp_path):
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
                      "--grid", "0:2:5", "--out-csv", str(tmp_path / "x.csv")])
@@ -177,6 +186,14 @@ class TestExitCodes:
                      "--out-json", str(tmp_path / "fp.json")])
         assert code == 2
         assert "key 'theta'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [("dt=1e-320", "dt"),
+                                               ("hold_time=1e308", "hold_time")])
+    def test_step_count_overflow_exits_two(self, hd_cfg, tmp_path, capsys, override, key):
+        code = main(["simulate", "--config", str(hd_cfg), "--set", override,
+                     "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"key {key!r}" in capsys.readouterr().err
 
     def test_unwritable_output(self, hd_cfg, tmp_path):
         code = main(["simulate", "--config", str(hd_cfg),

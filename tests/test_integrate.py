@@ -62,7 +62,7 @@ class TestSettings:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(record_every=0), dict(record_every=2.5),
         dict(eps_stationary=0.0), dict(hold_time=-1.0), dict(projection_tolerance=0.0),
-        dict(dt=math.inf), dict(t_max=math.nan),
+        dict(dt=math.inf), dict(t_max=math.nan), dict(dt=1e-320), dict(hold_time=1e308),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError) as exc:
