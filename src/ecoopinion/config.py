@@ -60,7 +60,7 @@ def _entries(text: str, source: str, overrides) -> dict:
     lines = text.splitlines()
     for index, raw in enumerate(lines + list(overrides)):
         line = index + 1 if index < len(lines) else None
-        body = raw if line is None else raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0].strip() if line else raw
         if line and not body:
             continue
         if "=" not in body:
