@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoopinion import load_config
+from ecoopinion import analysis, load_config
 from ecoopinion.cli import CSV_HEADER, SWEEP_CSV_HEADER, main
 
 
@@ -116,6 +116,16 @@ class TestSweep:
         switches = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
         assert switches == 1
         assert 0.45 < summary["boundary"] < 0.55
+
+    def test_simulate_runs_of_golden_sweep(self, hd_cfg, tmp_path, monkeypatch):
+        # The golden sweep: 21 grid cells, then the boundary bisection.
+        runs = []
+        real = analysis.simulate
+        monkeypatch.setattr(analysis, "simulate", lambda sc: runs.append(sc) or real(sc))
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:21",
+                     "--out-csv", str(tmp_path / "sweep.csv")])
+        assert code == 0
+        assert len(runs) == 32
 
     def test_unresolved_bisection_point_warns(self, hd_cfg, tmp_path, capsys):
         json_path = tmp_path / "sweep.json"

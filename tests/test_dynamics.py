@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ecoopinion import (
     make_rhs,
     replicator_rhs,
 )
+from ecoopinion.dynamics import PROTOCOL_MODES
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -284,3 +286,53 @@ class TestValidation:
     def test_system_state_must_be_finite(self):
         with pytest.raises(ValueError):
             SystemState(float("inf"), 0.5, 0.5)
+
+
+# Inputs a kernel rewrite is most likely to get wrong by one ulp or one sign:
+# signed zeros, the cube's faces, the neighbours of 0 and 1, and points just
+# outside the cube that the kernel pins back onto it.
+EDGE_COORDS = (0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53, -1e-12, 1.0 + 1e-12)
+
+
+def kernel_corpus(seed=20240, games=200, states=100):
+    """Seeded (evaluator, x, n, y) cases: random games with shared, zero and
+    signed-zero entries, zero and unit trust, psi of either zero, both
+    protocol modes, and states that include EDGE_COORDS."""
+    rng = random.Random(seed)
+
+    def entry():
+        r = rng.random()
+        if r < 0.1:
+            return 0.0
+        if r < 0.15:
+            return -0.0
+        if r < 0.3:
+            return float(rng.randint(-5, 5))
+        return rng.uniform(-10.0, 10.0)
+
+    def coord():
+        return rng.choice(EDGE_COORDS) if rng.random() < 0.25 else rng.random()
+
+    for g in range(games):
+        a0 = [entry() for _ in range(4)]
+        a1 = [a if rng.random() < 0.3 else entry() for a in a0]
+        trust = TrustMatrix(*[rng.choice((0.0, 1.0, rng.random())) for _ in range(4)])
+        env = EnvParams(rng.uniform(0.01, 3.0), rng.choice((0.0, -0.0, -rng.uniform(0.0, 3.0))))
+        f = make_rhs(GamePair(Payoff2x2(*a0), Payoff2x2(*a1)), env, trust, PROTOCOL_MODES[g % 2])
+        for _ in range(states):
+            yield f, coord(), coord(), coord()
+
+
+class TestKernelBits:
+    # sha256 of every output's float.hex() over kernel_corpus(); the tolerance
+    # checks above cannot see a one-ulp or signed-zero change.
+    DIGEST = "0955fcd48566139638b2f4fcef0dafc59fdf7345daf3be04a8ae7cc271af9269"
+
+    def test_outputs_bit_identical(self):
+        digest = hashlib.sha256()
+        count = 0
+        for f, x, n, y in kernel_corpus():
+            digest.update((" ".join(v.hex() for v in f(x, n, y)) + "\n").encode())
+            count += 1
+        assert count == 20000
+        assert digest.hexdigest() == self.DIGEST
