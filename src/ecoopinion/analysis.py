@@ -300,10 +300,13 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
 
 
 def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int = 60,
-                     fixed_points=None, target_width: float = 1e-4) -> float:
+                     fixed_points=None, target_width: float = 1e-4,
+                     endpoint_labels=None) -> float:
     """Bisect one initial-condition axis for the boundary between two basins.
 
-    The endpoints must resolve to different basin labels. Bisection runs
+    The endpoints must resolve to different basin labels; a caller that has
+    already labelled them (a basin scan) passes the pair as endpoint_labels,
+    and only the midpoints are simulated. Bisection runs
     until the bracket is narrower than target_width or max_iters is
     exhausted, and returns the midpoint of the final bracket. An endpoint or
     midpoint that resolves to no fixed point raises UnresolvedCellError;
@@ -322,8 +325,7 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int =
             )
         return label
 
-    lo_label = label_at(lo)
-    hi_label = label_at(hi)
+    lo_label, hi_label = endpoint_labels or (label_at(lo), label_at(hi))
     if lo_label == hi_label:
         raise NoBoundaryError(
             f"both endpoints of [{lo:g}, {hi:g}] resolve to {lo_label!r}; no boundary to bisect"

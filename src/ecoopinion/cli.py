@@ -140,12 +140,15 @@ def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
     switches = []
     for a, b in zip(basin.cells, basin.cells[1:]):
         if a.label is not None and b.label is not None and a.label != b.label:
-            switches.append((a.initial, b.initial))
+            switches.append((a, b))
     boundary = None
     if len(switches) == 1:
+        a, b = switches[0]
         try:
-            boundary = threshold_bisect(scenario, axis, switches[0][0], switches[0][1],
-                                        fixed_points=records)
+            # The scan has labelled both cells, so only midpoints are simulated.
+            boundary = threshold_bisect(scenario, axis, a.initial, b.initial,
+                                        fixed_points=records,
+                                        endpoint_labels=(a.label, b.label))
         except (NoBoundaryError, UnresolvedCellError, BlowupError) as err:
             print(f"warning: boundary bisection failed: {err}", file=sys.stderr)
 

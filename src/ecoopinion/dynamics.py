@@ -125,35 +125,43 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         elif y > 1.0:
             y = 1.0
 
-        w = y
-        c11 = a011 if e11 else w * a111 + (1.0 - w) * a011
-        c12 = a012 if e12 else w * a112 + (1.0 - w) * a012
-        c21 = a021 if e21 else w * a121 + (1.0 - w) * a021
-        c22 = a022 if e22 else w * a122 + (1.0 - w) * a022
-        u1 = c11 * x + c12 * (1.0 - x)
-        u2 = c21 * x + c22 * (1.0 - x)
-        dx = x * (1.0 - x) * (u1 - u2)
+        # Each complement and each repeated product is formed once, in the
+        # operation order of the written-out equations.
+        xc = 1.0 - x
+        nc = 1.0 - n
+        yc = 1.0 - y
+        c11 = a011 if e11 else y * a111 + yc * a011
+        c12 = a012 if e12 else y * a112 + yc * a012
+        c21 = a021 if e21 else y * a121 + yc * a021
+        c22 = a022 if e22 else y * a122 + yc * a022
+        u1 = c11 * x + c12 * xc
+        u2 = c21 * x + c22 * xc
+        dx = x * xc * (u1 - u2)
 
-        dn = n * (1.0 - n) * (theta * x + psi * (1.0 - x))
+        dn = n * nc * (theta * x + psi * xc)
 
         if use_env:
-            w = n
-            d11 = a011 if e11 else w * a111 + (1.0 - w) * a011
-            d12 = a012 if e12 else w * a112 + (1.0 - w) * a012
-            d21 = a021 if e21 else w * a121 + (1.0 - w) * a021
-            d22 = a022 if e22 else w * a122 + (1.0 - w) * a022
-            v1 = d11 * x + d12 * (1.0 - x)
-            v2 = d21 * x + d22 * (1.0 - x)
+            d11 = a011 if e11 else n * a111 + nc * a011
+            d12 = a012 if e12 else n * a112 + nc * a012
+            d21 = a021 if e21 else n * a121 + nc * a021
+            d22 = a022 if e22 else n * a122 + nc * a022
+            v1 = d11 * x + d12 * xc
+            v2 = d21 * x + d22 * xc
         else:
             v1 = u1
             v2 = u2
-        s1 = x * v1 * b11 + (1.0 - x) * v2 * b12
-        s2 = x * v1 * b21 + (1.0 - x) * v2 * b22
-        q21 = y * s1 - (1.0 - y) * s2
-        q12 = (1.0 - y) * s2 - y * s1
+        xv1 = x * v1
+        xcv2 = xc * v2
+        s1 = xv1 * b11 + xcv2 * b12
+        s2 = xv1 * b21 + xcv2 * b22
+        ys1 = y * s1
+        ys2 = yc * s2
+        q21 = ys1 - ys2
+        # Not -q21: equal terms must give +0.0 in both rates.
+        q12 = ys2 - ys1
         p21 = 0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)
         p12 = 0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)
-        dy = (1.0 - y) * p21 - y * p12
+        dy = yc * p21 - y * p12
         return dx, dn, dy, u1, u2, p12, p21
 
     return rhs

@@ -187,6 +187,24 @@ class TestThresholdBisect:
         with pytest.raises(NoBoundaryError):
             threshold_bisect(hawk_dove, "y0", 0.55, 0.7)
 
+    def test_given_endpoint_labels_skip_endpoint_runs(self, hawk_dove, monkeypatch):
+        records = find_fixed_points(hawk_dove)
+        cells = basin_scan(hawk_dove, "y0", [0.45, 0.7], fixed_points=records).cells
+        runs = []
+        real = analysis.simulate
+        monkeypatch.setattr(analysis, "simulate", lambda sc: runs.append(sc) or real(sc))
+        full = threshold_bisect(hawk_dove, "y0", 0.45, 0.7, fixed_points=records)
+        full_runs = len(runs)
+        runs.clear()
+        reused = threshold_bisect(hawk_dove, "y0", 0.45, 0.7, fixed_points=records,
+                                  endpoint_labels=(cells[0].label, cells[1].label))
+        assert reused == full
+        assert len(runs) == full_runs - 2
+        with pytest.raises(NoBoundaryError):
+            threshold_bisect(hawk_dove, "y0", 0.45, 0.7, fixed_points=records,
+                             endpoint_labels=(cells[0].label, cells[0].label))
+        assert len(runs) == full_runs - 2
+
     def test_unresolved_endpoint_propagates(self, hawk_dove):
         settings = dataclasses.replace(hawk_dove.settings, t_max=0.5, hold_time=0.1)
         sc = dataclasses.replace(hawk_dove, settings=settings)

@@ -118,14 +118,15 @@ class TestSweep:
         assert 0.45 < summary["boundary"] < 0.55
 
     def test_simulate_runs_of_golden_sweep(self, hd_cfg, tmp_path, monkeypatch):
-        # The golden sweep: 21 grid cells, then the boundary bisection.
+        # The golden sweep: 21 grid cells, then the boundary bisection's 9
+        # midpoints; its endpoints are grid cells the scan has labelled.
         runs = []
         real = analysis.simulate
         monkeypatch.setattr(analysis, "simulate", lambda sc: runs.append(sc) or real(sc))
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:21",
                      "--out-csv", str(tmp_path / "sweep.csv")])
         assert code == 0
-        assert len(runs) == 32
+        assert len(runs) == 30
 
     def test_unresolved_bisection_point_warns(self, hd_cfg, tmp_path, capsys):
         json_path = tmp_path / "sweep.json"
