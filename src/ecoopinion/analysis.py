@@ -259,10 +259,6 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     return records
 
 
-def _known_fixed_points(scenario, fixed_points) -> list[FixedPointRecord]:
-    return list(fixed_points) if fixed_points is not None else find_fixed_points(scenario)
-
-
 def _run_and_label(scenario, records):
     """Simulate scenario and name the basin of its terminal state: returns
     (trajectory, label, distance), with label None when no record lies
@@ -285,7 +281,7 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
     """
     grid = tuple(float(g) for g in grid)
     starts = [scenario.with_initial(axis, g) for g in grid]
-    records = _known_fixed_points(scenario, fixed_points)
+    records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
 
     cells = []
     for g, start in zip(grid, starts):
@@ -300,21 +296,19 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
 
 
 def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int = 60,
-                     fixed_points=None, target_width: float = 1e-4,
-                     endpoint_labels=None) -> float:
+                     fixed_points=None, target_width: float = 1e-4, endpoint_labels=None) -> float:
     """Bisect one initial-condition axis for the boundary between two basins.
 
     The endpoints must resolve to different basin labels; a caller that has
-    already labelled them (a basin scan) passes the pair as endpoint_labels,
-    and only the midpoints are simulated. Bisection runs
-    until the bracket is narrower than target_width or max_iters is
-    exhausted, and returns the midpoint of the final bracket. An endpoint or
-    midpoint that resolves to no fixed point raises UnresolvedCellError;
-    simulation failures propagate.
+    them (a basin scan) passes them as endpoint_labels, and only midpoints are
+    simulated. Bisection runs until the bracket is narrower than target_width
+    or max_iters is exhausted, and returns the midpoint of the final bracket.
+    An endpoint or midpoint that resolves to no fixed point raises
+    UnresolvedCellError; simulation failures propagate.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    records = _known_fixed_points(scenario, fixed_points)
+    records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
 
     def label_at(value):
         _, label, dist = _run_and_label(scenario.with_initial(axis, value), records)

@@ -137,17 +137,14 @@ def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
         ]))
     _write_text(out_csv, "\n".join(lines) + "\n")
 
-    switches = []
-    for a, b in zip(basin.cells, basin.cells[1:]):
-        if a.label is not None and b.label is not None and a.label != b.label:
-            switches.append((a, b))
+    switches = [(a, b) for a, b in zip(basin.cells, basin.cells[1:])
+                if a.label is not None and b.label is not None and a.label != b.label]
     boundary = None
     if len(switches) == 1:
         a, b = switches[0]
         try:
-            # The scan has labelled both cells, so only midpoints are simulated.
-            boundary = threshold_bisect(scenario, axis, a.initial, b.initial,
-                                        fixed_points=records,
+            # The scan has labelled both cells; only midpoints are simulated.
+            boundary = threshold_bisect(scenario, axis, a.initial, b.initial, fixed_points=records,
                                         endpoint_labels=(a.label, b.label))
         except (NoBoundaryError, UnresolvedCellError, BlowupError) as err:
             print(f"warning: boundary bisection failed: {err}", file=sys.stderr)

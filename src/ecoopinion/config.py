@@ -110,13 +110,19 @@ def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
             raise error(f"malformed {kind} {raw!r}", key) from None
 
     def build(factory, *args, key=None, suffix=""):
-        """factory(*args). The owning type checks its own rules; the field it
-        names in a FieldError is reported at config key `key`, or at the
-        field name plus suffix (hawk-dove "v" is key "v0" or "v1")."""
+        """factory(*args). The owning type checks its own rules. Its FieldError
+        is reported at `key`, or at the rule's field (name plus suffix: hawk-dove
+        "v" is key "v0" or "v1") that --set gave if it gave exactly one, else the
+        first; a message that opens with the first field's name opens with its key."""
         try:
             return factory(*args)
         except FieldError as exc:
-            raise error(str(exc), key or exc.key + suffix) from None
+            keys = [key] if key else [k + suffix for k in exc.keys]
+            changed = [k for k in keys if k in entries and entries[k][1] is None]
+            message = str(exc)
+            if suffix and message.startswith(exc.key + " "):
+                message = keys[0] + message[len(exc.key):]
+            raise error(message, changed[0] if len(changed) == 1 else keys[0]) from None
 
     def matrix(key):
         raw = value(key, str)

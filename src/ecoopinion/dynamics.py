@@ -125,8 +125,7 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         elif y > 1.0:
             y = 1.0
 
-        # Each complement and each repeated product is formed once, in the
-        # operation order of the written-out equations.
+        # Complements and repeated products are formed once, in equation order.
         xc = 1.0 - x
         nc = 1.0 - n
         yc = 1.0 - y
@@ -148,8 +147,7 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
             v1 = d11 * x + d12 * xc
             v2 = d21 * x + d22 * xc
         else:
-            v1 = u1
-            v2 = u2
+            v1, v2 = u1, u2
         xv1 = x * v1
         xcv2 = xc * v2
         s1 = xv1 * b11 + xcv2 * b12

@@ -15,11 +15,13 @@ WEIGHT_TOL = 1e-12
 
 
 class FieldError(ValueError):
-    """A value broke the domain rule of the field named by key."""
+    """A value broke a domain rule over the fields named by keys (a name or a
+    tuple of names); key is the first. A message may open with that name."""
 
-    def __init__(self, key: str, message: str):
+    def __init__(self, keys, message: str):
         super().__init__(message)
-        self.key = key
+        self.keys = (keys,) if isinstance(keys, str) else tuple(keys)
+        self.key = self.keys[0]
 
 
 def finite(key: str, value) -> float:
@@ -120,7 +122,7 @@ def hawk_dove_matrix(v: float, c: float) -> Payoff2x2:
     """
     v, c = finite("v", v), finite("c", c)
     if not 0.0 < v < c:
-        raise FieldError("v", f"hawk-dove game needs 0 < v < c, got v={v!r}, c={c!r}")
+        raise FieldError(("v", "c"), f"hawk-dove game needs 0 < v < c, got v={v!r}, c={c!r}")
     return Payoff2x2((v - c) / 2.0, v, 0.0, v / 2.0)
 
 

@@ -17,6 +17,7 @@ from .dynamics import BlowupError, SystemState, make_rhs
 from .game import FieldError, finite_fields
 
 METHODS = ("rk4", "euler")
+MAX_STEPS = 10 ** 8  # cap on t_max/dt and hold_time/dt: 2000 default runs
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,10 @@ class IntegratorSettings:
         if self.dt <= 0.0:
             raise FieldError("dt", f"dt must be positive, got {self.dt!r}")
         if self.t_max < self.dt:
-            raise FieldError("t_max", f"t_max={self.t_max!r} must be at least dt={self.dt!r}")
-        if not math.isfinite(self.t_max / self.dt):
-            raise FieldError("dt", "step count t_max/dt is not finite for "
+            raise FieldError(("t_max", "dt"),
+                             f"t_max={self.t_max!r} must be at least dt={self.dt!r}")
+        if not self.t_max / self.dt <= MAX_STEPS:
+            raise FieldError(("dt", "t_max"), f"step count t_max/dt exceeds {MAX_STEPS} for "
                              f"t_max={self.t_max!r}, dt={self.dt!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise FieldError("record_every",
@@ -52,9 +54,9 @@ class IntegratorSettings:
                              f"eps_stationary must be positive, got {self.eps_stationary!r}")
         if self.hold_time < 0.0:
             raise FieldError("hold_time", f"hold_time must be nonnegative, got {self.hold_time!r}")
-        if not math.isfinite(self.hold_time / self.dt):
-            raise FieldError("hold_time", "step count hold_time/dt is not finite for "
-                             f"hold_time={self.hold_time!r}, dt={self.dt!r}")
+        if not self.hold_time / self.dt <= MAX_STEPS:
+            raise FieldError(("hold_time", "dt"), f"step count hold_time/dt exceeds {MAX_STEPS} "
+                             f"for hold_time={self.hold_time!r}, dt={self.dt!r}")
         if self.projection_tolerance <= 0.0:
             raise FieldError("projection_tolerance", "projection_tolerance must be positive, "
                              f"got {self.projection_tolerance!r}")

@@ -199,12 +199,24 @@ class TestExitCodes:
         assert "key 'theta'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [("dt=1e-320", "dt"),
-                                               ("hold_time=1e308", "hold_time")])
+                                               ("hold_time=1e308", "hold_time"),
+                                               ("t_max=1e308", "t_max"),
+                                               ("dt=1e-300", "dt")])
     def test_step_count_overflow_exits_two(self, hd_cfg, tmp_path, capsys, override, key):
         code = main(["simulate", "--config", str(hd_cfg), "--set", override,
                      "--out-csv", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, text", [
+        ("c1=5", "key 'c1': hawk-dove game needs 0 < v < c"),
+        ("x0=inf", "key 'x0': x0 must be finite, got inf"),
+    ])
+    def test_error_names_the_set_key(self, hd_cfg, tmp_path, capsys, override, text):
+        code = main(["simulate", "--config", str(hd_cfg), "--set", override,
+                     "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert text in capsys.readouterr().err
 
     def test_unwritable_output(self, hd_cfg, tmp_path):
         code = main(["simulate", "--config", str(hd_cfg),

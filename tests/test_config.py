@@ -254,6 +254,37 @@ class TestOverrides:
         assert "b11" in str(exc.value)
         assert exc.value.key == "b11" and exc.value.line is None
 
+    # A rule over several keys is reported at the one --set changed when
+    # exactly one was, else at its first key; a message that opens with a
+    # field's name opens with the config key.
+    @pytest.mark.parametrize("text_change,overrides,message,key,line", [
+        (None, ("c1=5",), "key 'c1': hawk-dove game needs 0 < v < c, got v=7.0, c=5.0",
+         "c1", None),
+        (None, ("v1=6", "c1=5"), "key 'v1': hawk-dove game needs 0 < v < c, got v=6.0, c=5.0",
+         "v1", None),
+        (("c1 = 10", "c1 = 5"), (),
+         "line 7, key 'v1': hawk-dove game needs 0 < v < c, got v=7.0, c=5.0", "v1", 7),
+        (None, ("t_max=1e308",),
+         "key 't_max': step count t_max/dt exceeds 100000000 for t_max=1e+308, dt=0.01",
+         "t_max", None),
+        (None, ("dt=1e-300",),
+         "key 'dt': step count t_max/dt exceeds 100000000 for t_max=500.0, dt=1e-300",
+         "dt", None),
+        (None, ("dt=1000",), "key 'dt': t_max=500.0 must be at least dt=1000.0", "dt", None),
+        (None, ("hold_time=2e6",), "key 'hold_time': step count hold_time/dt exceeds "
+         "100000000 for hold_time=2000000.0, dt=0.01", "hold_time", None),
+        (None, ("x0=inf",), "key 'x0': x0 must be finite, got inf", "x0", None),
+        (None, ("v1=nan",), "key 'v1': v1 must be finite, got nan", "v1", None),
+        (("c0 = 12", "c0 = inf"), (), "line 6, key 'c0': c0 must be finite, got inf", "c0", 6),
+    ])
+    def test_rule_error_names_the_changed_key(self, text_change, overrides, message, key, line):
+        text = preset_text("hawk-dove")
+        if text_change is not None:
+            text = text.replace(*text_change)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, source="hd", overrides=overrides)
+        assert (str(exc.value), exc.value.key, exc.value.line) == ("hd, " + message, key, line)
+
 
 class TestRoundTrip:
     def test_presets_round_trip(self):

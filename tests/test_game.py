@@ -216,3 +216,12 @@ def test_hawk_dove_error_names_field(v, c, key):
     with pytest.raises(ValueError) as exc:
         hawk_dove_matrix(v, c)
     assert exc.value.key == key
+
+
+def test_hawk_dove_rule_lists_both_fields():
+    with pytest.raises(ValueError) as exc:
+        hawk_dove_matrix(5, 4)
+    assert exc.value.keys == ("v", "c")
+    with pytest.raises(ValueError) as exc:
+        hawk_dove_matrix(4, math.inf)
+    assert exc.value.keys == ("c",)

@@ -63,11 +63,23 @@ class TestSettings:
         dict(dt=0.0), dict(record_every=0), dict(record_every=2.5),
         dict(eps_stationary=0.0), dict(hold_time=-1.0), dict(projection_tolerance=0.0),
         dict(dt=math.inf), dict(t_max=math.nan), dict(dt=1e-320), dict(hold_time=1e308),
+        dict(dt=1e-300), dict(hold_time=2e6),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError) as exc:
             IntegratorSettings(**kwargs)
         assert exc.value.key == next(iter(kwargs))
+
+
+    def test_step_count_cap(self):
+        # Neither settings object is run: the larger would take 10**8 steps.
+        IntegratorSettings(dt=1e-6, t_max=99.0, hold_time=99.0)
+        with pytest.raises(ValueError) as exc:
+            IntegratorSettings(dt=1e-6, t_max=101.0)
+        assert exc.value.keys == ("dt", "t_max")
+        with pytest.raises(ValueError) as exc:
+            IntegratorSettings(dt=1e-6, t_max=99.0, hold_time=101.0)
+        assert exc.value.keys == ("hold_time", "dt")
 
 
 class TestScenario:
