@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
@@ -16,10 +18,12 @@ from ecoopinion import (
     label_for,
     make_rhs,
     nearest_fixed_point,
+    preset_scenario,
     simulate,
     threshold_bisect,
 )
 from ecoopinion import analysis
+from ecoopinion.dynamics import PROTOCOL_MODES
 from ecoopinion.scenario import Scenario
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
@@ -104,6 +108,67 @@ class TestFindFixedPoints:
                 assert interior == [True, False, False]
             elif r.kind == "environment-interior":
                 assert interior[1] and not interior[2]
+
+
+def fixed_point_corpus(seed=8080, count=150):
+    """Seeded scenarios for find_fixed_points: both presets, then random games
+    with shared, zero and signed-zero entries and random hawk-dove pairs, some
+    with a mixed equilibrium on the environment-null line, under zero and unit
+    trust, psi of either zero or negative, and both protocol modes."""
+    rng = random.Random(seed)
+
+    def entry():
+        r = rng.random()
+        if r < 0.1:
+            return 0.0
+        if r < 0.15:
+            return -0.0
+        if r < 0.3:
+            return float(rng.randint(-5, 5))
+        return rng.uniform(-10.0, 10.0)
+
+    yield preset_scenario("hawk-dove")
+    yield preset_scenario("prisoners-dilemma")
+    for k in range(count - 2):
+        theta = rng.uniform(0.01, 3.0)
+        psi = rng.choice((0.0, -0.0, -rng.uniform(0.0, 3.0)))
+        if k % 4 < 2:
+            a0 = [entry() for _ in range(4)]
+            a1 = [a if rng.random() < 0.3 else entry() for a in a0]
+            pair = GamePair(Payoff2x2(*a0), Payoff2x2(*a1))
+        else:
+            v0, v1 = rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+            c0, c1 = v0 + rng.uniform(0.1, 10.0), v1 + rng.uniform(0.1, 10.0)
+            if k % 4 == 3:
+                # Put the depleted game's mixed equilibrium v0/c0 on the
+                # environment-null line; half the time the replenished game's
+                # too, so the replicator bracket vanishes along the whole line.
+                psi = -theta * v0 / (c0 - v0)
+                if rng.random() < 0.5:
+                    v1, c1 = 2.0 * v0, 2.0 * c0
+            pair = hawk_dove_pair(v0, c0, v1, c1)
+        trust = TrustMatrix(*[rng.choice((0.0, 1.0, rng.random())) for _ in range(4)])
+        yield Scenario(pair, EnvParams(theta, psi), trust, SystemState(0.5, 0.5, 0.5),
+                       protocol_matrix_mode=rng.choice(PROTOCOL_MODES))
+
+
+class TestFixedPointBits:
+    # sha256 over fixed_point_corpus() of every record's float.hex() fields,
+    # kind and family; the golden files pin only the two presets.
+    DIGEST = "c9b27c7dee36b3c6215710c45c45bd46adbf6024d0e9f7b31e4f2c5d006cdf33"
+
+    def test_records_bit_identical(self):
+        digest = hashlib.sha256()
+        count = 0
+        for scenario in fixed_point_corpus():
+            for r in find_fixed_points(scenario):
+                fields = (r.state.x, r.state.n, r.state.y, r.residual)
+                digest.update((" ".join(v.hex() for v in fields)
+                               + f" {r.kind} {r.family}\n").encode())
+            digest.update(b"--\n")
+            count += 1
+        assert count == 150
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestBasinScan:
