@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import BlowupError, SystemState, make_rhs
-from .game import expected_payoff, interpolate
 from .integrate import simulate
 
 RESIDUAL_TOL = 1e-10
@@ -161,27 +160,30 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     that nulls the replicator bracket. Every candidate is kept only if the
     sup norm of the full derivative is below RESIDUAL_TOL.
     """
-    pair, env, trust = scenario.pair, scenario.env, scenario.trust
-    f = make_rhs(pair, env, trust, scenario.protocol_matrix_mode)
-    theta, psi = env.theta, env.psi
+    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
+    theta, psi = scenario.env.theta, scenario.env.psi
 
     def env_factor(x):
         return theta * x + psi * (1.0 - x)
 
     def x_root_given_y(y):
-        # Interior solution of u1 == u2 under the opinion-interpolated game.
-        m = interpolate(pair, y)
-        den = m.a11 - m.a12 - m.a21 + m.a22
+        # Interior solution of u1 == u2 under the opinion-interpolated game
+        # A_y, whose entries are the payoffs u1, u2 at x = 1 and x = 0.
+        _, _, _, m11, m21, _, _ = f(1.0, 0.0, y)
+        _, _, _, m12, m22, _, _ = f(0.0, 0.0, y)
+        den = m11 - m12 - m21 + m22
         if abs(den) < 1e-12:
             return None
-        root = (m.a22 - m.a12) / den
+        root = (m22 - m12) / den
         return root if 0.0 < root < 1.0 else None
 
     def bracket_null_y(x):
-        # The replicator bracket at fixed x is affine in y; return its root,
-        # "all" when it vanishes identically, None when no root lies in [0,1].
-        g0 = expected_payoff(pair.a0, 1, x) - expected_payoff(pair.a0, 2, x)
-        g1 = expected_payoff(pair.a1, 1, x) - expected_payoff(pair.a1, 2, x)
+        # The bracket u1 - u2 at fixed x is affine in y; return its root, "all"
+        # when it vanishes identically, None when no root lies in [0, 1].
+        _, _, _, u1, u2, _, _ = f(x, 0.0, 0.0)
+        g0 = u1 - u2
+        _, _, _, u1, u2, _, _ = f(x, 0.0, 1.0)
+        g1 = u1 - u2
         den = g0 - g1
         if abs(den) < 1e-14:
             return "all" if abs(g0) <= 1e-12 else None
@@ -190,44 +192,39 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
             return min(1.0, max(0.0, root))
         return None
 
+    # Each curve gives x as a function of y at fixed n: the faces x = 0 and
+    # x = 1 (n sampled when the environment factor vanishes there, psi == 0 at
+    # x = 0), then the replicator null on the faces n = 0 and n = 1. The
+    # opinion line is scanned along each curve.
+    curves = [(lambda y, x=x: x, n) for x in (0.0, 1.0)
+              for n in (FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0))]
+    curves += [(x_root_given_y, n) for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []
+    for x_of_y, n in curves:
+        def h(y, x_of_y=x_of_y, n=n):
+            x = x_of_y(y)
+            return None if x is None else f(x, n, y)[2]
 
-    # Boundary x: scan the opinion line at each (x, n); when the environment
-    # factor vanishes here (psi == 0 at x = 0), n is free and gets sampled.
-    for x in (0.0, 1.0):
-        n_values = FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0)
-        for n in n_values:
-            roots = _scalar_roots(lambda yy: f(x, n, yy)[2])
-            for y in sorted({0.0, 1.0} | set(roots)):
+        for y in sorted({0.0, 1.0} | set(_scalar_roots(h))):
+            x = x_of_y(y)
+            if x is not None:
                 candidates.append((x, n, y))
 
-    # Interior x through the replicator null, boundary n.
-    for n in (0.0, 1.0):
-        def h(yy, n=n):
-            xr = x_root_given_y(yy)
-            return None if xr is None else f(xr, n, yy)[2]
-
-        roots = _scalar_roots(h)
-        for y in sorted({0.0, 1.0} | set(roots)):
-            xr = x_root_given_y(y)
-            if xr is not None:
-                candidates.append((xr, n, y))
-
     # Environment-null line: interior x where the drift factor vanishes makes
-    # n a free parameter; the replicator bracket then pins y.
-    if theta != psi:
-        x_env = -psi / (theta - psi)
-        if 0.0 < x_env < 1.0:
-            null = bracket_null_y(x_env)
-            if null == "all":
-                y_values = list(FAMILY_SAMPLES)
-            elif null is None:
-                y_values = []
-            else:
-                y_values = [null]
-            for n in FAMILY_SAMPLES:
-                for y in y_values:
-                    candidates.append((x_env, n, y))
+    # n a free parameter; the replicator bracket then pins y. EnvParams keeps
+    # theta > 0 >= psi, so theta - psi > 0.
+    x_env = -psi / (theta - psi)
+    if 0.0 < x_env < 1.0:
+        null = bracket_null_y(x_env)
+        if null == "all":
+            y_values = list(FAMILY_SAMPLES)
+        elif null is None:
+            y_values = []
+        else:
+            y_values = [null]
+        for n in FAMILY_SAMPLES:
+            for y in y_values:
+                candidates.append((x_env, n, y))
 
     records = []
     kept: list[tuple[float, float, float]] = []

@@ -23,6 +23,7 @@ from .svgchart import trajectory_svg
 
 CSV_HEADER = "t,x,n,y,u1,u2,u_avg,p12,p21"
 SWEEP_CSV_HEADER = "initial,terminal_x,terminal_n,terminal_y,label,converged"
+MAX_GRID_COUNT = 10 ** 5  # the grid and its scenarios are built before any cell runs
 
 
 def _fmt(value: float) -> str:
@@ -103,6 +104,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"malformed grid spec {spec!r}") from None
     if count < 1:
         raise ConfigError(f"grid count must be positive, got {count}")
+    if count > MAX_GRID_COUNT:
+        raise ConfigError(f"grid count exceeds {MAX_GRID_COUNT} in grid spec {spec!r}")
     if not (0.0 <= lo <= hi <= 1.0):
         raise ConfigError(f"grid range must satisfy 0 <= lo <= hi <= 1, got {spec!r}")
     if count == 1:

@@ -1,5 +1,6 @@
-"""Symmetric 2x2 games: payoff matrices, environment interpolation, expected
-payoffs, and Nash-structure classification.
+"""Symmetric 2x2 games: payoff matrices, expected payoffs, and Nash-structure
+classification. The blend of a GamePair's two games is written only in
+dynamics.make_rhs.
 
 Everything is written from the row player's point of view; the opponent in a
 symmetric game plays the transposed matrix.
@@ -38,13 +39,6 @@ def finite_fields(obj, names) -> None:
         object.__setattr__(obj, name, finite(name, getattr(obj, name)))
 
 
-def _lerp(p: float, q: float, w: float) -> float:
-    # Exact at w=0, w=1 and whenever p == q; plain convex combination otherwise.
-    if p == q:
-        return p
-    return w * q + (1.0 - w) * p
-
-
 @dataclass(frozen=True)
 class Payoff2x2:
     """Row player's payoff matrix; aij is the payoff of pure strategy i
@@ -70,27 +64,6 @@ class GamePair:
 
     a0: Payoff2x2
     a1: Payoff2x2
-
-
-def interpolate(pair: GamePair, w: float) -> Payoff2x2:
-    """Entrywise convex combination w*a1 + (1-w)*a0.
-
-    w outside [0, 1] by more than WEIGHT_TOL is rejected: it means the caller's
-    state escaped the unit cube.
-    """
-    if not math.isfinite(w) or w < -WEIGHT_TOL or w > 1.0 + WEIGHT_TOL:
-        raise ValueError(f"interpolation weight {w!r} outside [0, 1]")
-    if w < 0.0:
-        w = 0.0
-    elif w > 1.0:
-        w = 1.0
-    p, q = pair.a0, pair.a1
-    return Payoff2x2(
-        _lerp(p.a11, q.a11, w),
-        _lerp(p.a12, q.a12, w),
-        _lerp(p.a21, q.a21, w),
-        _lerp(p.a22, q.a22, w),
-    )
 
 
 def _check_share(x: float) -> None:

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoopinion import analysis, load_config
+from ecoopinion import ConfigError, analysis, cli, load_config
 from ecoopinion.cli import CSV_HEADER, SWEEP_CSV_HEADER, main
 
 
@@ -160,6 +160,22 @@ class TestSweep:
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
                      "--grid", "0:2:5", "--out-csv", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_grid_count_cap(self):
+        assert len(cli._parse_grid("0:1:100000")) == 100000
+        with pytest.raises(ConfigError, match="grid count exceeds 100000 in grid spec '0:1:100001'"):
+            cli._parse_grid("0:1:100001")
+
+    def test_oversized_grid_exits_two_before_any_cell(self, hd_cfg, tmp_path, monkeypatch,
+                                                     capsys):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("basin_scan reached")
+
+        monkeypatch.setattr(cli, "basin_scan", no_scan)
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
+                     "--grid", "0:1:100001", "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "'0:1:100001'" in capsys.readouterr().err
 
 
 class TestFixedPoints:

@@ -13,7 +13,6 @@ from ecoopinion import (
     expected_payoff,
     hawk_dove_pair,
     imitation_rate,
-    interpolate,
     make_rhs,
     replicator_rhs,
 )
@@ -49,6 +48,39 @@ def weighted_payoffs(x, a, trust):
     rates: p21 = S1 at y = 1 and p12 = S2 at y = 0 when both lie in [0, 1]."""
     return (imitation_rate(2, 1, SystemState(x, 0.5, 1.0), a, trust),
             imitation_rate(1, 2, SystemState(x, 0.5, 0.0), a, trust))
+
+
+def blended_game(pair, y):
+    """Entries (a11, a12, a21, a22) of the opinion-blended game A_y, read off
+    the kernel: aij is the payoff u_i against a population playing j only,
+    so u1, u2 at x = 1 give column 1 and at x = 0 column 2."""
+    f = make_rhs(pair, ENV, TRUST)
+    _, _, _, a11, a21, _, _ = f(1.0, 0.0, y)
+    _, _, _, a12, a22, _, _ = f(0.0, 0.0, y)
+    return (a11, a12, a21, a22)
+
+
+class TestGameBlend:
+    def test_endpoints_exact(self):
+        rng = random.Random(7)
+        pairs = [PD_PAIR, HD_PAIR] + [GamePair(random_matrix(rng), random_matrix(rng))
+                                      for _ in range(20)]
+        for pair in pairs:
+            for y, game in ((0.0, pair.a0), (1.0, pair.a1)):
+                assert [v.hex() for v in blended_game(pair, y)] == \
+                    [v.hex() for v in game.entries()]
+
+    def test_pd_midpoint(self):
+        # hand arithmetic on the prisoner's dilemma pair at y = 0.5
+        assert blended_game(PD_PAIR, 0.5) == (3.75, 1.0, 3.25, 1.0)
+
+    def test_affine_identity(self):
+        rng = random.Random(7)
+        for y in [k / 20 for k in range(21)] + [rng.random() for _ in range(20)]:
+            got = blended_game(HD_PAIR, y)
+            for g, q, p in zip(got, HD_PAIR.a1.entries(), HD_PAIR.a0.entries()):
+                expect = y * q + (1.0 - y) * p
+                assert abs(g - expect) <= 1e-15 * (1.0 + abs(expect))
 
 
 class TestReplicator:
@@ -121,7 +153,7 @@ class TestImitationRate:
         assert imitation_rate(1, 2, state, PD_PAIR.a0, TRUST) == 0.0
 
     def test_matches_direct_formula(self):
-        a_eff = interpolate(HD_PAIR, 0.5)
+        a_eff = Payoff2x2(-2.75, 5.5, 0.0, 2.75)  # HD_PAIR blended at y = 0.5
         state = SystemState(0.5, 0.5, 0.6)
         s1, s2 = trusted_payoffs(0.5, a_eff, TRUST)
         direct = 0.6 * s1 - (1 - 0.6) * s2

@@ -12,7 +12,6 @@ from ecoopinion import (
     expected_payoff,
     hawk_dove_matrix,
     hawk_dove_pair,
-    interpolate,
 )
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
@@ -21,38 +20,6 @@ PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
 
 def random_matrix(rng, lo=-10.0, hi=10.0):
     return Payoff2x2(*(rng.uniform(lo, hi) for _ in range(4)))
-
-
-class TestInterpolate:
-    def test_endpoints_exact(self):
-        assert interpolate(PD_PAIR, 1.0) == PD_PAIR.a1
-        assert interpolate(PD_PAIR, 0.0) == PD_PAIR.a0
-        assert interpolate(HD_PAIR, 1.0) == HD_PAIR.a1
-        assert interpolate(HD_PAIR, 0.0) == HD_PAIR.a0
-
-    def test_pd_midpoint(self):
-        # hand arithmetic on the prisoner's dilemma pair at w = 0.5
-        mid = interpolate(PD_PAIR, 0.5)
-        assert mid == Payoff2x2(3.75, 1.0, 3.25, 1.0)
-
-    @pytest.mark.parametrize("w", [-1e-6, 1.000001, 2.0, float("nan"), float("inf")])
-    def test_rejects_bad_weight(self, w):
-        with pytest.raises(ValueError):
-            interpolate(PD_PAIR, w)
-
-    def test_accepts_rounding_overshoot(self):
-        assert interpolate(PD_PAIR, 1.0 + 1e-13) == PD_PAIR.a1
-        assert interpolate(PD_PAIR, -1e-13) == PD_PAIR.a0
-
-    def test_affine_identity(self):
-        rng = random.Random(7)
-        high = interpolate(HD_PAIR, 1.0)
-        low = interpolate(HD_PAIR, 0.0)
-        for w in [k / 20 for k in range(21)] + [rng.random() for _ in range(20)]:
-            got = interpolate(HD_PAIR, w)
-            for g, q, p in zip(got.entries(), high.entries(), low.entries()):
-                expect = w * q + (1.0 - w) * p
-                assert abs(g - expect) <= 1e-15 * (1.0 + abs(expect))
 
 
 class TestExpectedPayoff:
