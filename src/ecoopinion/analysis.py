@@ -3,6 +3,7 @@ initial-condition axis, and basin-boundary bisection."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import BlowupError, SystemState, make_rhs
@@ -256,11 +257,30 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     return records
 
 
-def _run_and_label(scenario, records):
+def _run_and_label(scenario, records, traps=()):
     """Simulate scenario and name the basin of its terminal state: returns
     (trajectory, label, distance), with label None when no record lies
-    within LABEL_RADIUS."""
-    trajectory = simulate(scenario)
+    within LABEL_RADIUS.
+
+    With traps, the run stops at the first record time at which a trap
+    captures it; it is then labelled by that trap and its distance is None.
+    """
+    caught = []
+    stop = None
+    if traps:
+        st = scenario.settings
+        t_end = math.floor(st.t_max / st.dt + 1e-9) * st.dt  # simulate's last step time
+
+        def stop(x, n, y, t):
+            for trap in traps:
+                if trap.captures((x, n, y), t_end - t):
+                    caught.append(trap.label)
+                    return True
+            return False
+
+    trajectory = simulate(scenario, stop=stop)
+    if caught:
+        return trajectory, caught[0], None
     record, dist = nearest_fixed_point(trajectory.terminal, records)
     label = label_for(record) if record is not None and dist <= LABEL_RADIUS else None
     return trajectory, label, dist
@@ -299,16 +319,32 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int =
     The endpoints must resolve to different basin labels; a caller that has
     them (a basin scan) passes them as endpoint_labels, and only midpoints are
     simulated. Bisection runs until the bracket is narrower than target_width
-    or max_iters is exhausted, and returns the midpoint of the final bracket.
-    An endpoint or midpoint that resolves to no fixed point raises
-    UnresolvedCellError; simulation failures propagate.
+    (finite, > 0) or max_iters (>= 1) is exhausted, and returns the midpoint
+    of the final bracket. An endpoint or midpoint that resolves to no fixed
+    point raises UnresolvedCellError; simulation failures propagate.
+
+    Only labels are needed, so each run stops at the first record time at
+    which a certified trap around an attractor (ecoopinion.traps) holds it,
+    and takes the trap's label. A run stops only where the certificate shows
+    that the full run would end within LABEL_RADIUS of that attractor, so
+    labels and the returned boundary are those of full runs. The
+    certificate is for the flow; the RK4 run is covered by a step-size guard
+    and by parity tests against full runs.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    if not (math.isfinite(target_width) and target_width > 0.0):
+        raise ValueError(f"target_width must be a finite positive number, got {target_width!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
+    # Imported on first use: only the bisection needs it, so package import
+    # (and with it every CLI command) does not compile it.
+    from .traps import find_traps
+    traps = find_traps(scenario, records)
 
     def label_at(value):
-        _, label, dist = _run_and_label(scenario.with_initial(axis, value), records)
+        _, label, dist = _run_and_label(scenario.with_initial(axis, value), records, traps)
         if label is None:
             raise UnresolvedCellError(
                 f"terminal state at {axis}={value:g} matches no known fixed point "

@@ -83,7 +83,11 @@ class Trajectory:
     """Time-ordered samples of a single deterministic run, stored as columns.
 
     times[k] is the time of sample k; x, n and y hold the state and u1, u2,
-    u_avg, p12 and p21 the derived quantities of DerivedSample.
+    u_avg, p12 and p21 the derived quantities of DerivedSample. reason says
+    why the run ended ("converged", "horizon" at t_max, "stopped" by the
+    caller's stop test, or "blowup" on the partial trajectory of a
+    BlowupError) and steps how many integration steps it took; both are None
+    when the trajectory is built by hand.
     """
 
     times: tuple[float, ...]
@@ -97,6 +101,8 @@ class Trajectory:
     p21: tuple[float, ...]
     converged: bool
     t_converged: float | None
+    reason: str | None = None
+    steps: int | None = None
 
     @property
     def terminal(self) -> SystemState:
@@ -132,7 +138,7 @@ def _leave_cube(stages, state, tol, t):
     return clipped
 
 
-def simulate(scenario, method: str = "rk4") -> Trajectory:
+def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     """Integrate a scenario until t_max or stationarity.
 
     Stationarity: the sup norm of the derivative stays below
@@ -140,6 +146,11 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     the time at which the hold completes is reported as t_converged. The run
     is fully deterministic: identical inputs produce bit-identical
     trajectories.
+
+    stop, if given, is called as stop(x, n, y, t) at each record time after
+    the first step (every record_every steps) of a run that has not
+    converged; when it returns true the run ends there with reason
+    "stopped". Without it no per-step work is added.
 
     Raises BlowupError, with the partial trajectory attached, if the state
     overshoots the cube by more than settings.projection_tolerance or any
@@ -173,6 +184,7 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
     t_converged = 0.0 if converged else None
     k = 0
     last_recorded = 0
+    stopped = False
 
     while k < n_steps and not converged:
         k1x, k1n, k1y = cur[0], cur[1], cur[2]
@@ -194,7 +206,7 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
                 nx, nn, ny = _leave_cube((cur, k2, k3, k4) if use_rk4 else (cur,),
                                          (nx, nn, ny), tol, k * dt)
             except BlowupError as err:
-                err.partial = Trajectory(*zip(*rows), False, None)
+                err.partial = Trajectory(*zip(*rows), False, None, "blowup", k)
                 raise
         x, n, y = nx, nn, ny
         k += 1
@@ -204,13 +216,17 @@ def simulate(scenario, method: str = "rk4") -> Trajectory:
             streak += 1
         else:
             streak = 0
-        if k % record_every == 0:
-            record(t, x, n, y, cur)
-            last_recorded = k
         if streak > hold_steps:
             converged = True
             t_converged = t
+        if k % record_every == 0:
+            record(t, x, n, y, cur)
+            last_recorded = k
+            if stop is not None and not converged and stop(x, n, y, t):
+                stopped = True
+                break
     if last_recorded != k:
         record(k * dt, x, n, y, cur)
 
-    return Trajectory(*zip(*rows), converged, t_converged)
+    reason = "converged" if converged else "stopped" if stopped else "horizon"
+    return Trajectory(*zip(*rows), converged, t_converged, reason, k)

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
 
 from ecoopinion import (
+    BlowupError,
     EnvParams,
+    FixedPointRecord,
     GamePair,
     NoBoundaryError,
     Payoff2x2,
@@ -23,8 +26,9 @@ from ecoopinion import (
     threshold_bisect,
 )
 from ecoopinion import analysis
-from ecoopinion.dynamics import PROTOCOL_MODES
+from ecoopinion.dynamics import PROTOCOL_MODES, clamp_branch, make_jacobian
 from ecoopinion.scenario import Scenario
+from ecoopinion.traps import find_traps
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -257,7 +261,7 @@ class TestThresholdBisect:
         cells = basin_scan(hawk_dove, "y0", [0.45, 0.7], fixed_points=records).cells
         runs = []
         real = analysis.simulate
-        monkeypatch.setattr(analysis, "simulate", lambda sc: runs.append(sc) or real(sc))
+        monkeypatch.setattr(analysis, "simulate", lambda sc, **kw: runs.append(sc) or real(sc, **kw))
         full = threshold_bisect(hawk_dove, "y0", 0.45, 0.7, fixed_points=records)
         full_runs = len(runs)
         runs.clear()
@@ -289,6 +293,23 @@ class TestThresholdBisect:
         b_swapped = _scan_and_bisect(swapped)
         assert abs(b_swapped - (1.0 - b_base)) < 5e-4
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(target_width=float("nan")), "target_width"),
+        (dict(target_width=float("inf")), "target_width"),
+        (dict(target_width=0.0), "target_width"),
+        (dict(target_width=-1e-4), "target_width"),
+        (dict(max_iters=0), "max_iters"),
+        (dict(max_iters=-5), "max_iters"),
+    ])
+    def test_rejects_bad_stopping_rule_before_any_run(self, hawk_dove, monkeypatch, kwargs,
+                                                      name):
+        def no_runs(scenario, **kw):
+            raise AssertionError("a run started before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "simulate", no_runs)
+        with pytest.raises(ValueError, match=name):
+            threshold_bisect(hawk_dove, "y0", 0.45, 0.7, **kwargs)
+
 
 def _scan_and_bisect(scenario):
     # offset grid: with x0 = 0.5 the point y0 = 0.5 sits exactly on the
@@ -303,3 +324,146 @@ def _scan_and_bisect(scenario):
     assert len(switches) == 1
     lo, hi = switches[0]
     return threshold_bisect(scenario, "y0", lo, hi, fixed_points=records)
+
+
+def eigenvalues(rows):
+    """Roots of the 3x3 characteristic polynomial (Durand-Kerner iteration)."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    c2 = -(a + e + i)
+    c1 = a * e - b * d + a * i - c * g + e * i - f * h
+    c0 = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+
+    def poly(z):
+        return ((z + c2) * z + c1) * z + c0
+
+    roots = [complex(0.4, 0.9) ** k for k in range(3)]
+    for _ in range(500):
+        roots = [r - poly(r) / ((r - roots[k - 1]) * (r - roots[k - 2]))
+                 for k, r in enumerate(roots)]
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def jacobian_at(scenario, state):
+    """Jacobian rows at state. On a clamp kink each column is the one-sided
+    derivative along its axis into the cube, on the branch that holds there;
+    where the balance stays on the kink along an axis, both branches give
+    that column."""
+    jac = make_jacobian(scenario.pair, scenario.env, scenario.trust,
+                        scenario.protocol_matrix_mode)
+    z = (state.x, state.n, state.y)
+    columns = []
+    for j in range(3):
+        inside = list(z)
+        inside[j] += 1e-9 * (0.5 - z[j])
+        branch = clamp_branch(jac(*z, "p21")[0]) or clamp_branch(jac(*inside, "p21")[0])
+        columns.append([row[j] for row in jac(*z, branch or "p21")[1]])
+    return [list(row) for row in zip(*columns)]
+
+
+class TestStability:
+    def test_hawk_dove_classes(self, hawk_dove):
+        records = find_fixed_points(hawk_dove)
+        by_point = {(round(r.state.x, 4), r.state.n, round(r.state.y, 4)): r for r in records}
+        sink = eigenvalues(jacobian_at(hawk_dove, by_point[(0.7, 1.0, 1.0)].state))
+        assert [z.real for z in sink] == pytest.approx([-1.1, -1.05, -0.3675])
+        assert all(z.imag == pytest.approx(0.0, abs=1e-9) for z in sink)
+        saddle = eigenvalues(jacobian_at(hawk_dove, by_point[(0.4684, 1.0, 0.4116)].state))
+        assert saddle[0].real < 0.0 < saddle[-1].real
+        corners = [r for r in records if r.kind == "corner"]
+        assert len(corners) == 6
+        for r in corners:
+            assert eigenvalues(jacobian_at(hawk_dove, r.state))[-1].real > 0.0, r
+
+    def test_hawk_dove_line_attracts_in_x_and_y(self, hawk_dove):
+        line = [r for r in find_fixed_points(hawk_dove) if r.family == "n"]
+        assert len(line) == 5
+        for r in line:
+            rows = jacobian_at(hawk_dove, r.state)
+            assert (r.state.x, r.state.y) == (pytest.approx(1 / 3), 0.0)
+            # n is free along the line: its column vanishes on it ...
+            assert [row[1] for row in rows] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+            # ... and the (x, y) block is Hurwitz (trace < 0 < det).
+            (a, _, b), _, (c, _, d) = rows
+            assert a + d < 0.0 < a * d - b * c
+
+    def test_prisoners_dilemma_has_no_sink_and_no_trap(self, prisoners):
+        records = find_fixed_points(prisoners)
+        assert len(records) == 10
+        for r in records:
+            values = eigenvalues(jacobian_at(prisoners, r.state))
+            assert values[-1].real > 0.0, r
+            if r.kind == "mixed":
+                # A saddle-focus: a complex pair with a positive real part.
+                assert values[-1].imag != pytest.approx(0.0, abs=1e-3)
+        assert sum(r.kind == "mixed" for r in records) == 2
+        assert find_traps(prisoners, records) == []
+
+
+class TestTraps:
+    def test_hawk_dove_traps(self, hawk_dove):
+        traps = find_traps(hawk_dove, find_fixed_points(hawk_dove))
+        assert sorted(t.label for t in traps) == ["x=0.3333 n=* y=0.0000",
+                                                  "x=0.7000 n=1.0000 y=1.0000"]
+
+    def test_stopped_runs_keep_full_run_labels(self, hawk_dove, monkeypatch):
+        records = find_fixed_points(hawk_dove)
+        traps = find_traps(hawk_dove, records)
+        # The golden sweep's bisection midpoints ...
+        grid = [k / 20 for k in range(21)]
+        labels = [c.label for c in basin_scan(hawk_dove, "y0", grid, fixed_points=records).cells]
+        (i,) = [i for i in range(20) if labels[i] != labels[i + 1]]
+        starts = []
+        real = analysis.simulate
+        monkeypatch.setattr(analysis, "simulate",
+                            lambda sc, **kw: starts.append(sc) or real(sc, **kw))
+        threshold_bisect(hawk_dove, "y0", grid[i], grid[i + 1], fixed_points=records,
+                         endpoint_labels=(labels[i], labels[i + 1]))
+        monkeypatch.undo()
+        assert len(starts) == 9
+        # ... and a finer y0 grid.
+        starts += [hawk_dove.with_initial("y0", k / 40) for k in range(41)]
+        stopped = 0
+        for start in starts:
+            trajectory, label, _ = analysis._run_and_label(start, records, traps)
+            stopped += trajectory.reason == "stopped"
+            assert label == analysis._run_and_label(start, records)[1]
+        assert stopped == len(starts)
+
+    def test_no_trap_next_to_another_label(self, hawk_dove):
+        # A record with another label within 2*LABEL_RADIUS of the sink could
+        # be nearer to a terminal state in the sink's label ball.
+        records = find_fixed_points(hawk_dove)
+        near = FixedPointRecord(SystemState(0.7015, 1.0, 1.0), 0.0, "replicator-interior")
+        traps = find_traps(hawk_dove, records + [near])
+        assert [t.label for t in traps] == ["x=0.3333 n=* y=0.0000"]
+
+    def test_no_trap_for_a_long_step(self, hawk_dove):
+        # At dt = 2 the RK4 run no longer follows the flow near the sink: from
+        # a state the flow would carry into it, its first step leaves the cube.
+        settings = dataclasses.replace(hawk_dove.settings, dt=2.0)
+        sc = dataclasses.replace(hawk_dove, settings=settings)
+        assert find_traps(sc, find_fixed_points(sc)) == []
+        with pytest.raises(BlowupError):
+            simulate(dataclasses.replace(sc, initial=SystemState(0.71, 0.99, 0.99)))
+
+    def test_horizon_clause_keeps_unresolved_runs(self, hawk_dove):
+        # At t_max = 25 a run near the boundary is still far from its
+        # attractor when it enters a trap, so the trap must not stop it.
+        settings = dataclasses.replace(hawk_dove.settings, t_max=25.0)
+        sc = dataclasses.replace(hawk_dove, settings=settings)
+        records = find_fixed_points(sc)
+        traps = find_traps(sc, records)
+        assert len(traps) == 2
+        start = sc.with_initial("y0", 0.49)
+        trajectory, label, _ = analysis._run_and_label(start, records, traps)
+        assert trajectory.reason == "horizon" and label is None
+        # Later records lie in a trap's level set (it would capture them with
+        # unlimited time left), yet with the time the run had left the
+        # horizon clause refused to stop there.
+        held = [(t, time, z) for t in traps
+                for time, *z in zip(trajectory.times, trajectory.x, trajectory.n, trajectory.y)
+                if time > 0.0 and t.captures(z, math.inf)]
+        assert held and not any(t.captures(z, 25.0 - time) for t, time, z in held)
+        with pytest.raises(UnresolvedCellError):
+            threshold_bisect(sc, "y0", 0.45, 0.5, fixed_points=records)
+

@@ -122,7 +122,7 @@ class TestSweep:
         # midpoints; its endpoints are grid cells the scan has labelled.
         runs = []
         real = analysis.simulate
-        monkeypatch.setattr(analysis, "simulate", lambda sc: runs.append(sc) or real(sc))
+        monkeypatch.setattr(analysis, "simulate", lambda sc, **kw: runs.append(sc) or real(sc, **kw))
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:21",
                      "--out-csv", str(tmp_path / "sweep.csv")])
         assert code == 0

@@ -16,7 +16,7 @@ from ecoopinion import (
     make_rhs,
     replicator_rhs,
 )
-from ecoopinion.dynamics import PROTOCOL_MODES
+from ecoopinion.dynamics import CLAMP_BRANCHES, PROTOCOL_MODES, clamp_branch, make_jacobian
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -368,3 +368,57 @@ class TestKernelBits:
             count += 1
         assert count == 20000
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestJacobian:
+    """make_jacobian is the derivative of make_rhs on the active clamp branch."""
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    def test_matches_central_differences(self, mode):
+        rng = random.Random(20261018)
+        h = 1e-6
+        checked = 0
+        while checked < 200:
+            pair = GamePair(random_matrix(rng, -5.0, 5.0), random_matrix(rng, -5.0, 5.0))
+            env = EnvParams(rng.uniform(0.1, 3.0), -rng.uniform(0.0, 3.0))
+            trust = TrustMatrix(*(rng.random() for _ in range(4)))
+            f = make_rhs(pair, env, trust, mode)
+            jac = make_jacobian(pair, env, trust, mode)
+            z = [rng.uniform(0.05, 0.95) for _ in range(3)]
+            q21, _ = jac(*z, "p21")
+            # Interior and away from the clamp's kinks at q21 = -1, 0, 1.
+            if min(abs(q21 - kink) for kink in (-1.0, 0.0, 1.0)) < 1e-2:
+                continue
+            _, rows = jac(*z, clamp_branch(q21))
+            for j in range(3):
+                up, down = list(z), list(z)
+                up[j] += h
+                down[j] -= h
+                fu, fd = f(*up), f(*down)
+                for i in range(3):
+                    assert rows[i][j] == pytest.approx((fu[i] - fd[i]) / (2 * h),
+                                                       rel=1e-6, abs=1e-7)
+            checked += 1
+
+    def test_branch_of_the_balance(self):
+        assert [clamp_branch(q) for q in (0.5, -0.5, 1.5, -1.5)] == list(CLAMP_BRANCHES)
+        assert [clamp_branch(q) for q in (1.0, 0.0, -0.0, -1.0)] == [None] * 4
+
+    def test_face_rows_point_into_the_cube(self):
+        # At x = 1 the clamped kernel is flat outward; the rows are the
+        # derivative from inside.
+        f = make_rhs(HD_PAIR, ENV, TRUST)
+        jac = make_jacobian(HD_PAIR, ENV, TRUST)
+        z = (1.0, 0.4, 0.6)
+        q21, rows = jac(*z, "p21")
+        _, rows = jac(*z, clamp_branch(q21))
+        h = 1e-7
+        inside = [(f(*z)[i] - f(1.0 - h, 0.4, 0.6)[i]) / h for i in range(3)]
+        assert [row[0] for row in rows] == pytest.approx(inside, rel=1e-5, abs=1e-6)
+
+    def test_rejects_unknown_branch(self):
+        jac = make_jacobian(HD_PAIR, ENV, TRUST)
+        with pytest.raises(ValueError):
+            jac(0.5, 0.5, 0.5, "p11")
+        with pytest.raises(ValueError):
+            make_jacobian(HD_PAIR, ENV, TRUST, "payoff")

@@ -262,3 +262,52 @@ class TestBlowup:
         assert err.component == "x"
         assert err.t == 78.0
         assert err.partial.times == tuple(float(k) for k in range(79))
+
+
+class TestRunReport:
+    def test_converged(self):
+        trajectory = simulate(hd_scenario())
+        assert trajectory.converged and trajectory.reason == "converged"
+        assert trajectory.steps == round(trajectory.t_converged / 0.01)
+        assert trajectory.times[-1] == trajectory.steps * 0.01
+
+    def test_horizon(self):
+        trajectory = simulate(hd_scenario(settings=IntegratorSettings(t_max=2.0)))
+        assert not trajectory.converged and trajectory.reason == "horizon"
+        assert trajectory.steps == 200
+
+    def test_stopped_at_a_record_time(self):
+        calls = []
+
+        def stop(x, n, y, t):
+            calls.append((x, n, y, t))
+            return len(calls) == 3
+
+        full = simulate(hd_scenario())
+        trajectory = simulate(hd_scenario(), stop=stop)
+        assert trajectory.reason == "stopped" and not trajectory.converged
+        assert trajectory.t_converged is None
+        # Called every record_every = 10 steps from the first step on, with
+        # the recorded state; the run ends on the third call's sample.
+        assert [c[3] for c in calls] == [0.1, 0.2, 0.3]
+        assert trajectory.steps == 30
+        assert trajectory.times == full.times[:4]
+        assert trajectory.x == full.x[:4] and trajectory.y == full.y[:4]
+        assert calls[-1][:3] == (full.x[3], full.n[3], full.y[3])
+
+    def test_stop_never_true_keeps_every_bit(self):
+        full = simulate(hd_scenario())
+        assert simulate(hd_scenario(), stop=lambda x, n, y, t: False) == full
+
+    def test_blowup_partial(self):
+        with pytest.raises(BlowupError) as exc:
+            simulate(TestBlowup.coarse_pd_euler(1e-3), "euler")
+        assert exc.value.partial.reason == "blowup"
+        assert exc.value.partial.steps == 78
+
+    def test_hand_built_trajectory_has_no_report(self):
+        trajectory = simulate(hd_scenario(settings=IntegratorSettings(t_max=0.05)))
+        columns = [getattr(trajectory, f) for f in ("times", "x", "n", "y", "u1", "u2",
+                                                    "u_avg", "p12", "p21")]
+        built = type(trajectory)(*columns, False, None)
+        assert built.reason is None and built.steps is None
