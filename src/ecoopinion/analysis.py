@@ -4,6 +4,8 @@ initial-condition axis, and basin-boundary bisection."""
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 from .dynamics import BlowupError, SystemState, make_rhs
@@ -47,7 +49,12 @@ class FixedPointRecord:
 
 @dataclass(frozen=True)
 class BasinCell:
-    """Outcome of one grid cell of a basin scan."""
+    """Outcome of one grid cell of a basin scan.
+
+    steps and reason are the cell run's Trajectory.steps and
+    Trajectory.reason (for an error cell, those of the partial trajectory),
+    so a scan reports the work each cell did without keeping its trajectory.
+    """
 
     initial: float
     terminal: SystemState | None
@@ -55,6 +62,8 @@ class BasinCell:
     converged: bool
     unresolved: bool
     error: str | None = None
+    steps: int | None = None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -286,30 +295,74 @@ def _run_and_label(scenario, records, traps=()):
     return trajectory, label, dist
 
 
+def _basin_cell(job) -> BasinCell:
+    """Run and label one basin-scan cell; job is (grid value, start scenario,
+    records). In a parallel scan this runs in a pool worker, so only the
+    cell, never the trajectory, goes back to the caller."""
+    g, start, records = job
+    try:
+        trajectory, label, _ = _run_and_label(start, records)
+    except BlowupError as err:  # simulate attaches the partial trajectory
+        return BasinCell(g, None, None, False, True, str(err),
+                         steps=err.partial.steps, reason=err.partial.reason)
+    return BasinCell(g, trajectory.terminal, label, trajectory.converged, label is None,
+                     steps=trajectory.steps, reason=trajectory.reason)
+
+
+def _scan_workers(cells: int) -> int:
+    """Worker processes for a scan of this many cells: one per usable CPU
+    (at most one per cell), or 1 for a serial scan.
+
+    A scan runs serially off Linux, for fewer than 2 cells or usable CPUs,
+    inside a daemonic process (a pool worker may not fork children of its
+    own), and while the process has a second thread, native threads
+    included (a fork copies locks that thread may hold; Python 3.12+ warns).
+    """
+    if sys.platform != "linux" or cells < 2:
+        return 1
+    mp = sys.modules.get("multiprocessing")  # a daemonic process has imported it
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return 1 if threads > 1 else min(len(os.sched_getaffinity(0)), cells)
+
+
 def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
     """Run one simulation per grid value of the chosen initial-condition axis
     and label each terminal state by its nearest fixed point.
 
     Cells whose terminal lies further than LABEL_RADIUS from every known
     fixed point are flagged unresolved; per-cell simulation failures are
-    recorded in the cell without aborting the scan. Cells are independent, so
-    the scan could run them in parallel; assembly always follows grid order.
+    recorded in the cell without aborting the scan. Any other error in a cell
+    propagates with its type.
+
+    Cells are independent, so they run in forked worker processes, one per
+    usable CPU; the pool lives only for this call. A scan runs serially off
+    Linux, for a single cell or usable CPU (so `taskset -c 0` gives the
+    serial path), inside a daemonic process and while the caller runs a
+    second thread. Cells are assembled in grid order, and every output bit
+    is the same either way.
     A bad axis or grid value raises ValueError before any cell runs.
     """
     grid = tuple(float(g) for g in grid)
     starts = [scenario.with_initial(axis, g) for g in grid]
     records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
+    jobs = [(g, start, records) for g, start in zip(grid, starts)]
 
-    cells = []
-    for g, start in zip(grid, starts):
-        try:
-            trajectory, label, _ = _run_and_label(start, records)
-        except BlowupError as err:
-            cells.append(BasinCell(g, None, None, False, True, str(err)))
-            continue
-        cells.append(BasinCell(g, trajectory.terminal, label, trajectory.converged,
-                               label is None))
-    return BasinMap(axis, grid, tuple(cells))
+    workers = _scan_workers(len(jobs))
+    if workers == 1:
+        cells = tuple(map(_basin_cell, jobs))
+    else:
+        import multiprocessing  # only a parallel scan pays for the import
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
+            pool.close()
+            pool.join()
+    return BasinMap(axis, grid, cells)
 
 
 def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int = 60,

@@ -1,7 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -22,6 +30,7 @@ from ecoopinion import (
     make_rhs,
     nearest_fixed_point,
     preset_scenario,
+    preset_text,
     simulate,
     threshold_bisect,
 )
@@ -228,6 +237,143 @@ class TestBasinScan:
             record = next(r for r in records if label_for(r) == cell.label)
             _, dist = nearest_fixed_point(cell.terminal, [record])
             assert dist <= 1e-3
+
+
+def _cell_bits(cell):
+    terminal = None if cell.terminal is None else (
+        cell.terminal.x.hex(), cell.terminal.n.hex(), cell.terminal.y.hex())
+    return (cell.initial.hex(), terminal, cell.label, cell.converged, cell.unresolved,
+            cell.error, cell.steps, cell.reason)
+
+
+def _map_bits(basin):
+    return basin.axis, tuple(g.hex() for g in basin.grid), [_cell_bits(c) for c in basin.cells]
+
+
+class _CellFailure(RuntimeError):
+    """Raised by a patched cell run; not a BlowupError, so it must propagate."""
+
+
+def _scan_in_pool_worker(scenario):
+    return _map_bits(basin_scan(scenario, "y0", [0.45, 0.7]))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a serial scan asked multiprocessing for a pool")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="parallel scans fork, on Linux only")
+class TestParallelScan:
+    GRID = [k / 10 for k in range(11)]
+
+    @pytest.fixture()
+    def two_cpus(self, monkeypatch):
+        # The serial rules must hold on a machine that has the CPUs to fork.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+
+    def _both(self, monkeypatch, scenario, grid):
+        monkeypatch.setattr(analysis, "_scan_workers", lambda cells: 2)
+        parallel = basin_scan(scenario, "y0", grid)
+        monkeypatch.setattr(analysis, "_scan_workers", lambda cells: 1)
+        serial = basin_scan(scenario, "y0", grid)
+        return parallel, serial
+
+    @pytest.mark.parametrize("preset", ["hawk-dove", "prisoners-dilemma"])
+    def test_parallel_cells_equal_serial_bits(self, monkeypatch, preset):
+        parallel, serial = self._both(monkeypatch, preset_scenario(preset), self.GRID)
+        assert _map_bits(parallel) == _map_bits(serial)
+        assert len({c.label for c in parallel.cells}) > 1
+        start = preset_scenario(preset).with_initial("y0", self.GRID[3])
+        trajectory = simulate(start)
+        assert (parallel.cells[3].steps, parallel.cells[3].reason) == (
+            trajectory.steps, trajectory.reason)
+
+    def test_blowup_cells_equal_serial_bits(self, monkeypatch, hawk_dove):
+        sc = dataclasses.replace(hawk_dove, settings=dataclasses.replace(hawk_dove.settings, dt=3.0))
+        parallel, serial = self._both(monkeypatch, sc, [0.0, 0.45, 1.0])
+        assert _map_bits(parallel) == _map_bits(serial)
+        for cell in parallel.cells:
+            assert cell.terminal is None and cell.reason == "blowup" and cell.steps >= 0
+            assert cell.error.startswith("component ") and cell.error.endswith("reduce dt")
+
+    def test_no_worker_outlives_the_scan(self, monkeypatch, hawk_dove):
+        monkeypatch.setattr(analysis, "_scan_workers", lambda cells: 2)
+        basin_scan(hawk_dove, "y0", [0.45, 0.7])
+        assert multiprocessing.active_children() == []
+
+        real = analysis._run_and_label
+
+        def failing(start, records, traps=()):
+            if start.initial.y == 0.5:
+                raise _CellFailure("cell at y0=0.5 failed")
+            return real(start, records, traps)
+
+        monkeypatch.setattr(analysis, "_run_and_label", failing)
+        with pytest.raises(_CellFailure, match="y0=0.5"):
+            basin_scan(hawk_dove, "y0", [0.45, 0.5, 0.7])
+        assert multiprocessing.active_children() == []
+        # The pool's helper threads are gone too, so the next scan may fork.
+        assert threading.active_count() == 1
+
+    def test_workers_follow_usable_cpus(self, two_cpus):
+        assert analysis._scan_workers(21) == 2
+        assert analysis._scan_workers(1) == 1
+
+    def test_serial_inside_a_pool_worker(self, hawk_dove, two_cpus):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply(_scan_in_pool_worker, (hawk_dove,))
+            pool.close()
+            pool.join()
+        assert multiprocessing.active_children() == []
+        assert in_worker == _map_bits(basin_scan(hawk_dove, "y0", [0.45, 0.7]))
+
+    def test_serial_while_a_second_thread_runs(self, hawk_dove, no_pool):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                basin = basin_scan(hawk_dove, "y0", [0.45, 0.7])
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert [c.label is not None for c in basin.cells] == [True, True]
+        assert multiprocessing.active_children() == []
+
+    def test_serial_for_one_cell_or_none(self, hawk_dove, no_pool):
+        (cell,) = basin_scan(hawk_dove, "y0", [0.45]).cells
+        assert cell.label is not None and cell.reason == "converged"
+        assert basin_scan(hawk_dove, "y0", []).cells == ()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sweep_leaves_no_process(self, tmp_path):
+        cfg = tmp_path / "hd.cfg"
+        cfg.write_text(preset_text("hawk-dove"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(analysis.__file__)), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ecoopinion.cli", "sweep", "--config", str(cfg), "--axis", "y0",
+             "--grid", "0:1:401", "--out-csv", str(tmp_path / "sweep.csv")],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        pgid = os.getpgid(proc.pid)
+        try:
+            time.sleep(1.0)  # start-up and fixed points take about 0.2 s
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) != 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
 
 
 class TestThresholdBisect:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -24,6 +27,18 @@ def pd_cfg(tmp_path):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], lines[1:]
+
+
+def test_import_loads_no_pool_or_trap_code():
+    # Every command imports cli; multiprocessing (a parallel scan) and traps
+    # (the bisection) load on first use, so start-up does not compile them.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, ecoopinion.cli; "
+             "print(*[m for m in ('multiprocessing', 'ecoopinion.traps') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split() == []
 
 
 class TestPreset:
@@ -120,13 +135,24 @@ class TestSweep:
     def test_simulate_runs_of_golden_sweep(self, hd_cfg, tmp_path, monkeypatch):
         # The golden sweep: 21 grid cells, then the boundary bisection's 9
         # midpoints; its endpoints are grid cells the scan has labelled.
-        runs = []
+        # Scan cells may run in forked workers, so each run appends a line to
+        # a file (one O_APPEND write) instead of to a list in this process.
+        runs = tmp_path / "runs.log"
         real = analysis.simulate
-        monkeypatch.setattr(analysis, "simulate", lambda sc, **kw: runs.append(sc) or real(sc, **kw))
+
+        def spy(sc, **kw):
+            fd = os.open(runs, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, b"run\n")
+            finally:
+                os.close(fd)
+            return real(sc, **kw)
+
+        monkeypatch.setattr(analysis, "simulate", spy)
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:21",
                      "--out-csv", str(tmp_path / "sweep.csv")])
         assert code == 0
-        assert len(runs) == 30
+        assert len(runs.read_bytes().splitlines()) == 30
 
     def test_unresolved_bisection_point_warns(self, hd_cfg, tmp_path, capsys):
         json_path = tmp_path / "sweep.json"
