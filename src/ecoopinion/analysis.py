@@ -117,38 +117,102 @@ def _bisect_root(g, lo, hi, vlo):
     return 0.5 * (lo + hi)
 
 
-def _scalar_roots(g, lo=0.0, hi=1.0, samples=_SCAN_SAMPLES, zero_tol=_ZERO_TOL):
-    """Roots of a piecewise-smooth scalar function on [lo, hi].
+# Polynomials in y are coefficient lists, lowest degree first.
+def _poly_at(p, t):
+    value = 0.0
+    for c in reversed(p):
+        value = value * t + c
+    return value
 
-    Dense scan plus bisection refinement; g may return None where undefined.
-    Runs of near-zero samples collapse to their midpoint, so an identically
-    vanishing stretch yields one representative root instead of a root per
-    sample.
-    """
-    step = (hi - lo) / (samples - 1)
-    pts = [lo + step * i for i in range(samples)]
-    vals = [g(p) for p in pts]
-    roots = []
-    i = 0
-    while i < samples:
-        v = vals[i]
-        if v is not None and abs(v) <= zero_tol:
-            j = i
-            while j + 1 < samples and vals[j + 1] is not None and abs(vals[j + 1]) <= zero_tol:
-                j += 1
-            roots.append(0.5 * (pts[i] + pts[j]))
-            i = j + 1
-        else:
-            i += 1
-    for i in range(samples - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None:
-            continue
-        if abs(va) <= zero_tol or abs(vb) <= zero_tol:
-            continue
-        if (va > 0.0) != (vb > 0.0):
-            roots.append(_bisect_root(g, pts[i], pts[i + 1], va))
+
+def _poly_mul(p, q):
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_deriv(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _poly_roots(p):
+    """Sorted real roots in [0, 1] of the polynomial p: bisection on each
+    stretch between roots of its derivative. A constant has none, the zero
+    polynomial included."""
+    if not any(p[1:]):
+        return []
+    cuts = [0.0, *_poly_roots(_poly_deriv(p)), 1.0]
+    roots = {t for t in cuts if _poly_at(p, t) == 0.0}
+    for lo, hi in zip(cuts, cuts[1:]):
+        vlo, vhi = _poly_at(p, lo), _poly_at(p, hi)
+        if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
+            roots.add(_bisect_root(lambda t: _poly_at(p, t), lo, hi, vlo))
     return sorted(roots)
+
+
+def _locator(p, q, protocol, trust):
+    """The imitation balance q21 = y*S1 - (1-y)*S2 of make_rhs on the curve
+    x = p/(p + q), times (p + q)**2, as a polynomial in y.
+
+    p, q and the protocol matrix's entries (11, 12, 21, 22) are polynomials
+    in y. For 0 < y < 1, dy has the sign of q21, so wherever dy is not
+    near 0 its sign is the locator's."""
+    b11, b12, b21, b22 = trust.entries()
+    d11, d12, d21, d22 = protocol
+    # x*v1 and (1-x)*v2, each times (p + q)**2.
+    w1 = _poly_mul(p, [r + s for r, s in zip(_poly_mul(d11, p), _poly_mul(d12, q))])
+    w2 = _poly_mul(q, [r + s for r, s in zip(_poly_mul(d21, p), _poly_mul(d22, q))])
+    s1 = [b11 * r + b12 * s for r, s in zip(w1, w2)]
+    s2 = [b21 * r + b22 * s for r, s in zip(w1, w2)]
+    return [r + s - t for r, s, t in zip([0.0, *s1], [0.0, *s2], [*s2, 0.0])]
+
+
+def _scan_roots(h, locator, edges):
+    """Roots of h on [0, 1] as a dense scan reports them.
+
+    The scan samples h at _SCAN_SAMPLES evenly spaced points (h may return
+    None where undefined), collapses each run of near-zero samples to its
+    midpoint and bisects each sign change between neighbouring samples.
+    Here h is sampled only within two cells of both ends, of the locator's
+    roots and critical points, and of the edges (where h may become
+    undefined), since elsewhere h has the locator's sign; a near-zero run is
+    walked to its full extent.
+    """
+    last = _SCAN_SAMPLES - 1
+    step = 1.0 / last
+    marks = [0.0, 1.0, *edges, *_poly_roots(locator), *_poly_roots(_poly_deriv(locator))]
+    cells = set()
+    for m in marks:
+        k = int(m / step)  # the cell [k*step, (k+1)*step] holds m
+        cells.update(range(max(0, k - 2), min(last, k + 3) + 1))
+    vals = {}
+
+    def val(i):
+        if i not in vals:
+            vals[i] = h(step * i)
+        return vals[i]
+
+    def small(i):
+        v = val(i)
+        return v is not None and abs(v) <= _ZERO_TOL
+
+    roots = set()
+    end = -1
+    for i in sorted(cells):
+        if i > end and small(i):
+            start = end = i
+            while start > 0 and small(start - 1):
+                start -= 1
+            while end < last and small(end + 1):
+                end += 1
+            roots.add(0.5 * (step * start + step * end))
+        if i + 1 in cells and not (small(i) or small(i + 1)):
+            va, vb = val(i), val(i + 1)
+            if va is not None and vb is not None and (va > 0.0) != (vb > 0.0):
+                roots.add(_bisect_root(h, step * i, step * (i + 1), va))
+    return roots
 
 
 def _snap01(value: float) -> float:
@@ -205,17 +269,31 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     # Each curve gives x as a function of y at fixed n: the faces x = 0 and
     # x = 1 (n sampled when the environment factor vanishes there, psi == 0 at
     # x = 0), then the replicator null on the faces n = 0 and n = 1. The
-    # opinion line is scanned along each curve.
-    curves = [(lambda y, x=x: x, n) for x in (0.0, 1.0)
+    # opinion line is scanned along each curve, at the cells its locator
+    # picks. A_y's entries are polynomials in y; the replicator null is
+    # x = num/den, and it leaves (0, 1) where num, den or den - num vanishes.
+    a_y = [[a, b - a] for a, b in zip(scenario.pair.a0.entries(), scenario.pair.a1.entries())]
+
+    def protocol(n):
+        return a_y if scenario.protocol_matrix_mode == "opinion" else [[a + n * g] for a, g in a_y]
+
+    trust = scenario.trust
+    curves = [(lambda y, x=x: x, n, _locator([x], [1.0 - x], protocol(n), trust), ())
+              for x in (0.0, 1.0)
               for n in (FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0))]
-    curves += [(x_root_given_y, n) for n in (0.0, 1.0)]
+    num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
+    den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
+    rest = [d - u for d, u in zip(den, num)]
+    null_edges = (*_poly_roots(num), *_poly_roots(den), *_poly_roots(rest))
+    curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), null_edges)
+               for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []
-    for x_of_y, n in curves:
+    for x_of_y, n, locator, edges in curves:
         def h(y, x_of_y=x_of_y, n=n):
             x = x_of_y(y)
             return None if x is None else f(x, n, y)[2]
 
-        for y in sorted({0.0, 1.0} | set(_scalar_roots(h))):
+        for y in sorted({0.0, 1.0} | _scan_roots(h, locator, edges)):
             x = x_of_y(y)
             if x is not None:
                 candidates.append((x, n, y))
@@ -357,8 +435,13 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         cells = tuple(map(_basin_cell, jobs))
     else:
         import multiprocessing  # only a parallel scan pays for the import
+        import signal
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # Workers ignore Ctrl-C: the parent's KeyboardInterrupt ends the map,
+        # and leaving the with block terminates the pool.
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
             pool.close()
             pool.join()

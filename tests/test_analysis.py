@@ -250,6 +250,119 @@ def _map_bits(basin):
     return basin.axis, tuple(g.hex() for g in basin.grid), [_cell_bits(c) for c in basin.cells]
 
 
+def _dense_scan_roots(h, locator, edges):
+    """The reference for analysis._scan_roots, a dense scan: h at every grid
+    point, each run of near-zero samples collapsed to its midpoint and each
+    sign change between neighbouring samples bisected. The locator and edges
+    are not read."""
+    samples, zero_tol = analysis._SCAN_SAMPLES, analysis._ZERO_TOL
+    step = (1.0 - 0.0) / (samples - 1)
+    pts = [0.0 + step * i for i in range(samples)]
+    vals = [h(p) for p in pts]
+    roots = set()
+    i = 0
+    while i < samples:
+        v = vals[i]
+        if v is not None and abs(v) <= zero_tol:
+            j = i
+            while j + 1 < samples and vals[j + 1] is not None and abs(vals[j + 1]) <= zero_tol:
+                j += 1
+            roots.add(0.5 * (pts[i] + pts[j]))
+            i = j + 1
+        else:
+            i += 1
+    for i in range(samples - 1):
+        va, vb = vals[i], vals[i + 1]
+        if va is None or vb is None or abs(va) <= zero_tol or abs(vb) <= zero_tol:
+            continue
+        if (va > 0.0) != (vb > 0.0):
+            roots.add(analysis._bisect_root(h, pts[i], pts[i + 1], va))
+    return roots
+
+
+def _record_bits(records):
+    return [(r.state.x.hex(), r.state.n.hex(), r.state.y.hex(), r.residual.hex(), r.kind, r.family)
+            for r in records]
+
+
+def _sign(v):
+    return (v > 0.0) - (v < 0.0)
+
+
+# (h, locator, edges) that analysis._scan_roots must handle as the dense scan
+# does; the tangent touches -1e-14 at a grid point, without a root.
+_R = 0.3 + 1e-8
+_SCANS = {
+    "crossing": (lambda y: y - 0.3004, [-0.3004, 1.0], ()),
+    "locator 1.5 cells off": (lambda y: y - 0.3, [-0.3015, 1.0], ()),
+    "tangent without crossing": (lambda y: -(y - _R) ** 2 - 1e-14,
+                                 [-_R * _R - 1e-14, 2.0 * _R, -1.0], ()),
+    "wide near-zero run": (lambda y: 1e-11 * (y - 0.5), [-0.5, 1.0], ()),
+    "two roots in one cell": (lambda y: (y - 0.30011) * (y - 0.30012),
+                              [0.30011 * 0.30012, -0.60023, 1.0], ()),
+    "undefined, then a root": (lambda y: None if y < 0.6 else y - 0.7, [-0.7, 1.0], ()),
+    "locator wrong at an edge": (lambda y: None if y < 0.6 else y - 0.6005, [1.0], (0.6,)),
+    "identically zero": (lambda y: 0.0, [0.0], ()),
+    "root at an end": (lambda y: 2.0 * y, [0.0, 2.0], ()),
+}
+
+
+class TestLocator:
+    def test_records_equal_dense_scan(self, monkeypatch):
+        # Both protocol modes, zero and unit trust, psi = +-0.0, shared and
+        # signed-zero game entries; a corpus the digest above does not pin.
+        corpus = list(fixed_point_corpus(seed=8081, count=200))
+        located = [_record_bits(find_fixed_points(sc)) for sc in corpus]
+        monkeypatch.setattr(analysis, "_scan_roots", _dense_scan_roots)
+        assert located == [_record_bits(find_fixed_points(sc)) for sc in corpus]
+
+    @pytest.mark.parametrize("case", sorted(_SCANS))
+    def test_scan_roots_equal_dense_scan(self, case):
+        h, locator, edges = _SCANS[case]
+        roots = analysis._scan_roots(h, locator, edges)
+        assert roots == _dense_scan_roots(h, locator, edges)
+        assert (len(roots) == 0) == (case == "two roots in one cell")
+
+    @pytest.mark.parametrize("preset", ["hawk-dove", "prisoners-dilemma"])
+    def test_kernel_calls_per_preset(self, monkeypatch, preset):
+        calls = [0]
+
+        def counting_make_rhs(*args):
+            f = make_rhs(*args)
+
+            def rhs(x, n, y):
+                calls[0] += 1
+                return f(x, n, y)
+            return rhs
+
+        monkeypatch.setattr(analysis, "make_rhs", counting_make_rhs)
+        records = find_fixed_points(preset_scenario(preset))
+        assert records
+        assert 0 < calls[0] <= 1000  # the dense scan made 10,158 and 8,775
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    def test_locator_sign_is_the_sign_of_dy(self, monkeypatch, mode):
+        # The locator writes q21 a second time; it must agree with make_rhs
+        # wherever dy is clearly away from 0.
+        rng = random.Random(8083)
+        checked = [0]
+        real = analysis._scan_roots
+
+        def check_signs(h, locator, edges):
+            for _ in range(40):
+                y = rng.uniform(1e-6, 1.0 - 1e-6)
+                dy = h(y)  # make_rhs's dy on this curve
+                if dy is not None and abs(dy) > 1e-9:
+                    assert _sign(analysis._poly_at(locator, y)) == _sign(dy), (locator, y, dy)
+                    checked[0] += 1
+            return real(h, locator, edges)
+
+        monkeypatch.setattr(analysis, "_scan_roots", check_signs)
+        for sc in fixed_point_corpus(seed=8084, count=100):
+            find_fixed_points(dataclasses.replace(sc, protocol_matrix_mode=mode))
+        assert checked[0] > 10_000
+
+
 class _CellFailure(RuntimeError):
     """Raised by a patched cell run; not a BlowupError, so it must propagate."""
 
@@ -352,7 +465,9 @@ class TestParallelScan:
         assert basin_scan(hawk_dove, "y0", []).cells == ()
         assert multiprocessing.active_children() == []
 
-    def test_interrupted_sweep_leaves_no_process(self, tmp_path):
+    def _interrupt_sweep(self, tmp_path, interrupt):
+        """Start a sweep in its own session, interrupt it mid-scan and return
+        its exit status and stderr once no process of the session is left."""
         cfg = tmp_path / "hd.cfg"
         cfg.write_text(preset_text("hawk-dove"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -360,12 +475,13 @@ class TestParallelScan:
         proc = subprocess.Popen(
             [sys.executable, "-m", "ecoopinion.cli", "sweep", "--config", str(cfg), "--axis", "y0",
              "--grid", "0:1:401", "--out-csv", str(tmp_path / "sweep.csv")],
-            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
         pgid = os.getpgid(proc.pid)
         try:
             time.sleep(1.0)  # start-up and fixed points take about 0.2 s
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) != 0
+            interrupt(proc, pgid)
+            _, stderr = proc.communicate(timeout=10)
             with pytest.raises(ProcessLookupError):
                 os.killpg(pgid, 0)
         finally:
@@ -373,7 +489,24 @@ class TestParallelScan:
                 os.killpg(pgid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
+        return proc.returncode, stderr
+
+    def test_interrupted_sweep_leaves_no_process(self, tmp_path):
+        status, _ = self._interrupt_sweep(
+            tmp_path, lambda proc, pgid: proc.send_signal(signal.SIGINT))
+        assert status != 0
+
+    def test_ctrl_c_prints_one_traceback(self, tmp_path):
+        # A terminal sends Ctrl-C to the whole process group, pool workers
+        # included; only the parent may report it.
+        status, stderr = self._interrupt_sweep(
+            tmp_path, lambda proc, pgid: os.killpg(pgid, signal.SIGINT))
+        assert status != 0
+        lines = stderr.splitlines()
+        assert sum(line.startswith("KeyboardInterrupt") for line in lines) == 1, stderr
+        assert sum(line.startswith("Traceback") for line in lines) == 1, stderr
+        assert "ForkPoolWorker" not in stderr
 
 
 class TestThresholdBisect:
