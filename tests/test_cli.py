@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,30 @@ class TestSimulate:
         root = ET.parse(svg_path).getroot()
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 3
+
+    # SHA-256 of the CSV and SVG at record_every=1, where every sample is
+    # written; the golden files keep only every 100th.
+    DIGESTS = {
+        "hawk-dove": (
+            "d67479897fef67c5c1e7e382d24db127a8c1248d1ca1618d85a48f031b498ff5",
+            "c9caa79905c3c22285a8d4784ce1f6329656b6b9f556a067f2e7631cf3c7fe87",
+        ),
+        "prisoners-dilemma": (
+            "933bc474bd7f30d64e9ce366eb692074ad80f52772c334e68a55d09e3d0c051a",
+            "3aa0cd94e4e95a9dcb7f2595d63ac1b1cba1c4fc39a03c6aa79f3b75e9f60026",
+        ),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(DIGESTS))
+    def test_every_sample_bytes(self, preset, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        assert main(["preset", preset, "--write", str(cfg)]) == 0
+        csv_path, svg_path = tmp_path / "run.csv", tmp_path / "run.svg"
+        code = main(["simulate", "--config", str(cfg), "--set", "record_every=1",
+                     "--set", "y0=0.37", "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        assert code == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path))
+        assert digests == self.DIGESTS[preset]
 
     def test_full_precision_round_trip(self, hd_cfg, tmp_path):
         csv_path = tmp_path / "run.csv"
