@@ -25,9 +25,12 @@ CSV_HEADER = "t,x,n,y,u1,u2,u_avg,p12,p21"
 SWEEP_CSV_HEADER = "initial,terminal_x,terminal_n,terminal_y,label,converged"
 MAX_GRID_COUNT = 10 ** 5  # the grid and its scenarios are built before any cell runs
 
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
+# 17 significant digits round-trip every float exactly.
+_FLOAT = "%.17g"
+_fmt = _FLOAT.__mod__
+# Trajectory columns in CSV_HEADER's order; one template fills a whole row.
+_CSV_COLUMNS = tuple("times" if name == "t" else name for name in CSV_HEADER.split(","))
+_CSV_ROW = ",".join([_FLOAT] * len(_CSV_COLUMNS)) + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -36,13 +39,11 @@ def _write_text(path, text: str) -> None:
 
 
 def _trajectory_csv(trajectory, truncated_at=None, reason=None) -> str:
-    lines = [CSV_HEADER]
-    for row in zip(trajectory.times, trajectory.x, trajectory.n, trajectory.y, trajectory.u1,
-                   trajectory.u2, trajectory.u_avg, trajectory.p12, trajectory.p21):
-        lines.append(",".join(map(_fmt, row)))
+    rows = zip(*[getattr(trajectory, name) for name in _CSV_COLUMNS])
+    text = CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
     if truncated_at is not None:
-        lines.append(f"# truncated at t={_fmt(truncated_at)}: {reason}")
-    return "\n".join(lines) + "\n"
+        text += f"# truncated at t={_fmt(truncated_at)}: {reason}\n"
+    return text
 
 
 def _state_dict(state) -> dict:

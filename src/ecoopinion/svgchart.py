@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 WIDTH = 800
 HEIGHT = 600
 _ML, _MR, _MT, _MB = 60, 24, 44, 52
@@ -65,10 +67,11 @@ def trajectory_svg(trajectory, title: str = "") -> str:
         f'font-family="sans-serif" font-size="13">t</text>'
     )
 
+    # One %-format call per series fills "%.2f,%.2f" for every point.
+    xs = list(map(px, times))
+    template = " ".join(["%.2f,%.2f"] * len(times))
     for name, color in _SERIES:
-        points = " ".join(
-            f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times, getattr(trajectory, name))
-        )
+        points = template % tuple(chain.from_iterable(zip(xs, map(py, getattr(trajectory, name)))))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

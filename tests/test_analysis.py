@@ -431,6 +431,13 @@ class TestParallelScan:
         assert multiprocessing.active_children() == []
         # The pool's helper threads are gone too, so the next scan may fork.
         assert threading.active_count() == 1
+        # A joined thread can stay listed by the OS for a moment, and
+        # _scan_workers counts OS threads; wait until it has left.
+        if sys.platform == "linux":
+            deadline = time.monotonic() + 10
+            while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(os.listdir("/proc/self/task")) == 1
 
     def test_workers_follow_usable_cpus(self, two_cpus):
         assert analysis._scan_workers(21) == 2

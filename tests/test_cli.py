@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoopinion import ConfigError, analysis, cli, load_config
+from ecoopinion import ConfigError, analysis, cli, load_config, svgchart
 from ecoopinion.cli import CSV_HEADER, SWEEP_CSV_HEADER, main
+from ecoopinion.integrate import Trajectory
 
 
 @pytest.fixture()
@@ -135,6 +138,61 @@ class TestSimulate:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[-1].startswith("# truncated at t=")
+
+
+# Values whose %.17g or %.2f text is easy to get wrong: signed zero, the
+# smallest subnormal, the largest float below 1, a repeating binary fraction,
+# a float with an exact 23-digit integer value, ints and nan.
+EDGE_VALUES = (-0.0, 5e-324, 1 - 2 ** -53, 1 / 3, 1e22, 0, 1, math.nan)
+
+
+def edge_trajectory(size):
+    """A hand-built trajectory of `size` samples; column k holds EDGE_VALUES
+    rotated by k, so every column takes every value."""
+    columns = [tuple(EDGE_VALUES[(i + k) % len(EDGE_VALUES)] for i in range(size))
+               for k in range(9)]
+    return Trajectory(*columns, converged=False, t_converged=None)
+
+
+def reference_csv(trajectory, marker=""):
+    columns = [trajectory.times, trajectory.x, trajectory.n, trajectory.y, trajectory.u1,
+               trajectory.u2, trajectory.u_avg, trajectory.p12, trajectory.p21]
+    rows = [",".join("%.17g" % v for v in row) for row in zip(*columns)]
+    return "\n".join([CSV_HEADER, *rows, *([marker] if marker else [])]) + "\n"
+
+
+def reference_points(trajectory, name):
+    times = trajectory.times
+    t0, span = times[0], (times[-1] - times[0]) or 1.0
+    plot_w = svgchart.WIDTH - svgchart._ML - svgchart._MR
+    plot_h = svgchart.HEIGHT - svgchart._MT - svgchart._MB
+    return " ".join(
+        f"{svgchart._ML + (t - t0) / span * plot_w:.2f},{svgchart._MT + (1.0 - v) * plot_h:.2f}"
+        for t, v in zip(times, getattr(trajectory, name)))
+
+
+class TestFormatters:
+    """The bulk CSV and SVG formatters against per-value references."""
+
+    @pytest.mark.parametrize("size", [1, 8, 19])
+    def test_csv_matches_per_value_reference(self, size):
+        trajectory = edge_trajectory(size)
+        assert cli._trajectory_csv(trajectory) == reference_csv(trajectory)
+
+    def test_csv_truncation_marker(self):
+        trajectory = edge_trajectory(8)
+        text = cli._trajectory_csv(trajectory, truncated_at=1 / 3, reason="boom")
+        marker = "# truncated at t=0.33333333333333331: boom"
+        assert text == reference_csv(trajectory, marker)
+        assert text.endswith(marker + "\n")
+
+    @pytest.mark.parametrize("size", [1, 8, 19])
+    def test_svg_points_match_per_point_reference(self, size):
+        # One sample has a zero time span, which falls back to span 1.0.
+        trajectory = edge_trajectory(size)
+        svg = svgchart.trajectory_svg(trajectory, title="edge")
+        points = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+        assert points == [reference_points(trajectory, name) for name, _ in svgchart._SERIES]
 
 
 class TestSweep:
