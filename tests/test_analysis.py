@@ -685,7 +685,45 @@ class TestStability:
         assert find_traps(prisoners, records) == []
 
 
+def _start_in_trap(rng, scenario, trap, v_max):
+    """Seeded copy of scenario started in the cube at a state with
+    V <= v_max in trap's coordinates; n is drawn in [0, 1] on a line."""
+    m = len(trap.axes)
+    while True:
+        d = [rng.gauss(0.0, 1.0) for _ in range(m)]
+        v = sum(d[i] * trap.p[i][k] * d[k] for i in range(m) for k in range(m))
+        scale = math.sqrt(rng.random() * v_max / v)
+        z = [0.0, rng.random(), 0.0]
+        for i, c, di in zip(trap.axes, trap.center, d):
+            z[i] = c + scale * di
+        if all(0.0 <= c <= 1.0 for c in z):
+            return dataclasses.replace(scenario, initial=SystemState(*z))
+
+
 class TestTraps:
+    def test_corpus_runs_started_in_a_trap_keep_full_run_labels(self):
+        # Every trap on two seeded corpora (random games, both protocol
+        # modes), with t_max cut to 2 to keep the runs short. Per trap, one
+        # run starts anywhere in its level set, and one where the trap holds
+        # it whatever the time left, so that run stops at its first record.
+        rng = random.Random(20261018)
+        count = stopped = 0
+        for seed in (8080, 8085):
+            for sc in fixed_point_corpus(seed=seed):
+                sc = dataclasses.replace(sc, settings=dataclasses.replace(sc.settings, t_max=2.0))
+                records = find_fixed_points(sc)
+                traps = find_traps(sc, records)
+                for trap in traps:
+                    for v_max in (trap.level, min(trap.level, trap.bound2 / trap.reach)):
+                        start = _start_in_trap(rng, sc, trap, v_max)
+                        trajectory, label, _ = analysis._run_and_label(start, records, traps)
+                        stopped += trajectory.reason == "stopped"
+                        assert label == analysis._run_and_label(start, records)[1], (
+                            seed, trap.label, start.initial)
+                count += len(traps)
+        assert count >= 370
+        assert stopped >= count
+
     def test_hawk_dove_traps(self, hawk_dove):
         traps = find_traps(hawk_dove, find_fixed_points(hawk_dove))
         assert sorted(t.label for t in traps) == ["x=0.3333 n=* y=0.0000",
