@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from .dynamics import BlowupError, SystemState, make_rhs
@@ -437,6 +438,7 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         import multiprocessing  # only a parallel scan pays for the import
         import signal
 
+        tasks = len(os.listdir("/proc/self/task"))
         # Workers ignore Ctrl-C: the parent's KeyboardInterrupt ends the map,
         # and leaving the with block terminates the pool.
         with multiprocessing.get_context("fork").Pool(
@@ -445,6 +447,10 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
             cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
             pool.close()
             pool.join()
+        # The OS lists joined helper threads for a moment; wait so the next scan may fork.
+        deadline = time.monotonic() + 0.05
+        while len(os.listdir("/proc/self/task")) > tasks and time.monotonic() < deadline:
+            time.sleep(1e-4)
     return BasinMap(axis, grid, cells)
 
 

@@ -94,7 +94,8 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
     the two protocol rates, each clamped to [0, 1]. Coordinates are pinned
     to [0, 1] before evaluation. This is the only place the model equations
     are written: the integrator, the analysis scans and the single-line views
-    below all evaluate it. Its derivative in (x, n, y) is make_jacobian.
+    below all evaluate it, and ecoopinion.traps differentiates it on dual
+    numbers (it uses only +, - and *, and compares with < and >).
     """
     if protocol_matrix_mode not in PROTOCOL_MODES:
         raise ValueError(
@@ -163,104 +164,6 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         return dx, dn, dy, u1, u2, p12, p21
 
     return rhs
-
-
-CLAMP_BRANCHES = ("p21", "p12", "p21=1", "p12=1")
-
-
-def clamp_branch(q21: float) -> str | None:
-    """Branch of the protocol clamp at the imitation balance q21 = y*S1 - (1-y)*S2
-    (p21 clamps q21, p12 clamps -q21): the rate that is linear ("p21" or
-    "p12") or saturated ("p21=1" or "p12=1"); None at a kink, where q21 is
-    0, 1 or -1."""
-    if q21 > 1.0:
-        return "p21=1"
-    if q21 < -1.0:
-        return "p12=1"
-    if q21 > 0.0 and q21 < 1.0:
-        return "p21"
-    if q21 < 0.0 and q21 > -1.0:
-        return "p12"
-    return None
-
-
-def make_jacobian(pair: GamePair, env: EnvParams, trust: TrustMatrix,
-                  protocol_matrix_mode: str = "env"):
-    """Compile the derivative of make_rhs's (dx, dn, dy) on one clamp branch.
-
-    Returns jac with jac(x, n, y, branch) -> (q21, rows): the imitation
-    balance q21 that clamp_branch maps to the branch, and the Jacobian rows
-    ((d dx/dx, d dx/dn, d dx/dy), (d dn/dx, ...), (d dy/dx, ...)) of the model
-    on the given branch. It uses only +, - and *, so it evaluates on floats
-    and on any number type that supports them, such as an interval over a
-    box. Coordinates are not pinned: on a cube face the rows are the
-    one-sided derivative into the cube.
-    """
-    if protocol_matrix_mode not in PROTOCOL_MODES:
-        raise ValueError(
-            f"protocol_matrix_mode must be one of {PROTOCOL_MODES}, got {protocol_matrix_mode!r}"
-        )
-    a011, a012, a021, a022 = pair.a0.entries()
-    a111, a112, a121, a122 = pair.a1.entries()
-    # Entry a0 + w*(a1 - a0) of the blend with weight w, or a0 where both
-    # games agree. Each weight appears once, which keeps interval bounds tight.
-    entries = [(a0, a1 - a0, a0 == a1)
-               for a0, a1 in zip((a011, a012, a021, a022), (a111, a112, a121, a122))]
-
-    def blend(w):
-        return [a0 if equal else a0 + w * slope for a0, slope, equal in entries]
-
-    (_, g11, _), (_, g12, _), (_, g21, _), (_, g22, _) = entries
-    theta, psi = env.theta, env.psi
-    b11, b12, b21, b22 = trust.entries()
-    use_env = protocol_matrix_mode == "env"
-
-    def jac(x, n, y, branch):
-        xc = 1.0 - x
-        c11, c12, c21, c22 = blend(y)
-        # u1 - u2 = (c12 - c22) + x*(c11 - c12 - c21 + c22), and its partials.
-        gap_x = c11 - c12 - c21 + c22
-        gap = (c12 - c22) + x * gap_x
-        gap_y = (g12 - g22) + x * (g11 - g12 - g21 + g22)
-        row_x = ((1.0 - 2.0 * x) * gap + x * xc * gap_x, 0.0, x * xc * gap_y)
-        row_n = (n * (1.0 - n) * (theta - psi), (1.0 - 2.0 * n) * (psi + x * (theta - psi)), 0.0)
-
-        # Protocol payoffs v_i = m_i2 + x*(m_i1 - m_i2) on m = A_n or A_y, and
-        # v1w, v2w their partials in that matrix's weight (n or y).
-        v1w = g12 + x * (g11 - g12)
-        v2w = g22 + x * (g21 - g22)
-        if use_env:
-            v1x = (a011 - a012) + n * (g11 - g12)
-            v2x = (a021 - a022) + n * (g21 - g22)
-            v1 = (a012 + x * (a011 - a012)) + n * v1w
-            v2 = (a022 + x * (a021 - a022)) + n * v2w
-            v1n, v2n, v1y, v2y = v1w, v2w, 0.0, 0.0
-        else:
-            v1x, v2x = c11 - c12, c21 - c22
-            v1 = c12 + x * v1x
-            v2 = c22 + x * v2x
-            v1n, v2n, v1y, v2y = 0.0, 0.0, v1w, v2w
-        # S_i = x*v1*b_i1 + (1-x)*v2*b_i2 and its partials in x, n, y.
-        w1 = (x * v1, v1 + x * v1x, x * v1n, x * v1y)
-        w2 = (xc * v2, xc * v2x - v2, xc * v2n, xc * v2y)
-        s1 = [p * b11 + q * b12 for p, q in zip(w1, w2)]
-        s2 = [p * b21 + q * b22 for p, q in zip(w1, w2)]
-        # q21 = y*S1 - (1-y)*S2 = y*(S1 + S2) - S2.
-        q21 = y * (s1[0] + s2[0]) - s2[0]
-        qx = y * (s1[1] + s2[1]) - s2[1]
-        qn = y * (s1[2] + s2[2]) - s2[2]
-        qy = s1[0] + s2[0] + y * (s1[3] + s2[3]) - s2[3]
-        if branch == "p21":      # dy = (1-y)*q21
-            row_y = ((1.0 - y) * qx, (1.0 - y) * qn, (1.0 - y) * qy - q21)
-        elif branch == "p12":    # dy = -y*q12 = y*q21
-            row_y = (y * qx, y * qn, y * qy + q21)
-        elif branch in ("p21=1", "p12=1"):  # dy = 1 - y or -y
-            row_y = (0.0, 0.0, -1.0)
-        else:
-            raise ValueError(f"branch must be one of {CLAMP_BRANCHES}, got {branch!r}")
-        return q21, (row_x, row_n, row_y)
-
-    return jac
 
 
 # Placeholders for the inputs a single-line view does not read.

@@ -3,12 +3,14 @@
 A trap is a sublevel set V(e) = e^T P e <= level around an attractor, where e
 is the offset from it in the coordinates its basin label reads: (x, n, y)
 for a point, (x, y) for a family="n" line, whose label ignores n. An interval
-bound on the Jacobian (make_jacobian) over a box around the attractor proves
-dV/dt <= -rate*V for the flow on the box: Lyapunov's linearisation at a sink
+bound on the Jacobian over a box around the attractor proves dV/dt <=
+-rate*V for the flow on the box: Lyapunov's linearisation at a sink
 (Hofbauer & Sigmund, Evolutionary Games and Population Dynamics, 1998), made
 uniform over the box as in contraction analysis (Lohmiller & Slotine,
 Automatica 34, 1998). A state in the trap stays there and its offset decays,
-so threshold_bisect can stop a run inside one and keep its label.
+so threshold_bisect can stop a run inside one and keep its label. The
+Jacobian is make_rhs's own, by forward-mode differentiation (Griewank &
+Walther, 2008), on intervals over pieces of the box (Moore et al., 2009).
 """
 
 from __future__ import annotations
@@ -17,52 +19,113 @@ import math
 from dataclasses import dataclass
 
 from .analysis import LABEL_RADIUS, label_for
-from .dynamics import clamp_branch, make_jacobian
+from .dynamics import make_rhs
 
 _TRAP_RADII = tuple(0.1 / 2 ** k for k in range(7))  # box half-widths: 0.1 halved while >= 1e-3
 
 
-def _down(value):
-    return math.nextafter(value, -math.inf)
-
-
-def _up(value):
-    return math.nextafter(value, math.inf)
+def _outward(lo, hi):
+    return _Interval(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
 
 
 def _bounds(value):
     return (value.lo, value.hi) if isinstance(value, _Interval) else (value, value)
 
 
-class _Interval:
-    """Closed interval [lo, hi] with outward-rounded +, - and *."""
+class _Straddle(Exception):
+    """An interval comparison that holds on part of the interval only."""
+
+
+class _Signed:
+    """a - b as a + (-b), which rounds as the subtraction does; a > b as -a < -b."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __gt__(self, other):
+        return -self < -other
+
+
+class _Interval(_Signed):
+    """Closed interval [lo, hi] with outward-rounded +, - and *; < and >
+    raise _Straddle unless they hold, or fail, over the whole interval."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = lo, hi
 
     def __add__(self, other):
         lo, hi = _bounds(other)
-        return _Interval(_down(self.lo + lo), _up(self.hi + hi))
+        return _outward(self.lo + lo, self.hi + hi)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        lo, hi = _bounds(other)
-        return _Interval(_down(self.lo - hi), _up(self.hi - lo))
-
-    def __rsub__(self, other):
-        lo, hi = _bounds(other)
-        return _Interval(_down(lo - self.hi), _up(hi - self.lo))
+    def __neg__(self):
+        return _Interval(-self.hi, -self.lo)
 
     def __mul__(self, other):
+        if other == 0.0:  # exact, and keeps a zero gradient entry a float
+            return 0.0
         lo, hi = _bounds(other)
         ends = (self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi)
-        return _Interval(_down(min(ends)), _up(max(ends)))
+        return _outward(min(ends), max(ends))
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __lt__(self, other):
+        lo, hi = _bounds(other)
+        if self.hi < lo or self.lo >= hi:
+            return self.hi < lo
+        raise _Straddle
+
+
+class _Dual(_Signed):
+    """A value (a float or an _Interval) and its gradient in (x, n, y); < and
+    > compare the value, so make_rhs's pins and clamps branch on it."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value, self.grad = value, grad
+
+    def __add__(self, other):
+        if not isinstance(other, _Dual):
+            return _Dual(self.value + other, self.grad)
+        g, h = self.grad, other.grad
+        return _Dual(self.value + other.value, (g[0] + h[0], g[1] + h[1], g[2] + h[2]))
+
+    def __neg__(self):
+        g = self.grad
+        return _Dual(-self.value, (-g[0], -g[1], -g[2]))
+
+    def __mul__(self, other):
+        g = self.grad
+        if not isinstance(other, _Dual):
+            return _Dual(self.value * other, (g[0] * other, g[1] * other, g[2] * other))
+        a, b, h = self.value, other.value, other.grad
+        return _Dual(a * b, (a * h[0] + g[0] * b, a * h[1] + g[1] * b, a * h[2] + g[2] * b))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __lt__(self, other):
+        return self.value < other
+
+
+def _jacobian(f, z):
+    """Rows of the derivative of (dx, dn, dy) from f = make_rhs(...) at the
+    point z, from inside the cube on a face; or bounds on them over a box z
+    of _Intervals, where a pin or clamp that changes branch raises _Straddle."""
+    seeds = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return [d.grad for d in f(*map(_Dual, z, seeds))[:3]]
+
+
+def _hull(*values):
+    lows, highs = zip(*map(_bounds, values))
+    return _Interval(min(lows), max(highs))
 
 
 def _gershgorin_max(m):
@@ -126,17 +189,6 @@ def _det(a):
                for c in range(len(a)))
 
 
-def _hurwitz(j):
-    """Routh-Hurwitz: every eigenvalue of the 2x2 or 3x3 matrix j has a
-    negative real part."""
-    trace = sum(j[i][i] for i in range(len(j)))
-    if len(j) == 2:
-        return trace < 0.0 and _det(j) > 0.0
-    minors = sum(j[i][i] * j[k][k] - j[i][k] * j[k][i] for i in range(3) for k in range(i + 1, 3))
-    det = _det(j)
-    return trace < 0.0 and det < 0.0 and -trace * minors > -det
-
-
 @dataclass(frozen=True)
 class Trap:
     """Certified trap around the attractor named label (see the module docstring)."""
@@ -160,43 +212,44 @@ class Trap:
         return v <= self.level and v * math.exp(-self.rate * remaining) * self.reach <= self.bound2
 
 
-def _certify(jac, label, center, axes, residual, settings):
+def _certify(f, label, center, axes, residual, settings):
     """A trap around the attractor at center (n is free off the axes), or None.
 
-    The record's branch of the protocol clamp must hold on the box, the
-    linearisation J on the axes must be Hurwitz, P solves J^T P + P J = -I,
-    and the interval bound on P J(z) + J(z)^T P over the box must stay below
-    -beta*I with beta > 0. A run that converges inside the trap then ends
+    P solves J^T P + P J = -I for f's Jacobian J at center on the axes and
+    must be positive definite. The box, center +- r on the axes and [0, 1]
+    along a free n, is cut into ceil(width / 2r) pieces per side; with J(z)
+    in the hull of the pieces' bounds, P J(z) + J(z)^T P must stay below
+    -beta*I with beta > 0, and a pin or clamp of f that changes branch on a
+    piece fails the radius. A run that converges inside the trap then ends
     within LABEL_RADIUS: wherever the sup norm of the derivative is below
     eps_stationary, the offset from the exact attractor is at most
     spread*eps_stationary, and the record lies within spread*residual of it.
     """
-    q21, _ = jac(*center, "p21")
-    branch = clamp_branch(q21)
-    if branch is None:
-        return None
-    _, rows = jac(*center, branch)
-    j = [[rows[i][k] for k in axes] for i in axes]
-    p = _lyapunov(j) if _hurwitz(j) else None
-    if p is None:
-        return None
+    rows = _jacobian(f, center)
+    p = _lyapunov([[rows[i][k] for k in axes] for i in axes])
     m = len(axes)
+    # Sylvester's criterion: V is positive definite (so J is Hurwitz).
+    if p is None or not all(_det([row[:k] for row in p[:k]]) > 0.0 for k in range(1, m + 1)):
+        return None
     inverse = [_solve(p, [float(i == k) for k in range(m)]) for i in range(m)]
     if None in inverse or not min(column[i] for i, column in enumerate(inverse)) > 0.0:
         return None
     reach = max(column[i] for i, column in enumerate(inverse))
     p_max = _gershgorin_max(p)
     for r in _TRAP_RADII:
-        box = [_Interval(max(0.0, c - r), min(1.0, c + r)) if i in axes else _Interval(0.0, 1.0)
-               for i, c in enumerate(center)]
-        q21_box, rows_box = jac(*box, branch)
-        lo, hi = _bounds(q21_box)
-        if not clamp_branch(lo) == clamp_branch(hi) == branch:
+        count = math.ceil(1.0 / (2.0 * r))
+        sides = [[_Interval(max(0.0, c - r), min(1.0, c + r))] if i in axes else
+                 [_Interval(k / count, (k + 1) / count) for k in range(count)]
+                 for i, c in enumerate(center)]
+        pieces = [(x, n, y) for x in sides[0] for n in sides[1] for y in sides[2]]
+        try:
+            jacobians = [_jacobian(f, piece) for piece in pieces]
+        except _Straddle:
             continue
-        # The certificate is for the flow, and the RK4 run tracks the flow
-        # only with a step that is short against the fastest rate on the box.
-        # This guard (dt times the bound on |J|'s row sums) is not part of the
-        # proof: at dt = 2 a hawk-dove run next to the sink leaves the cube.
+        rows_box = [list(map(_hull, *rows)) for rows in zip(*jacobians)]
+        # Not part of the proof: the RK4 run tracks the flow only with a step
+        # short against the fastest rate on the box (dt times the bound on
+        # |J|'s row sums); at dt = 2 a hawk-dove run next to the sink leaves the cube.
         if not settings.dt * max(sum(max(-b[0], b[1]) for b in map(_bounds, row))
                                  for row in rows_box) <= 0.5:
             continue
@@ -223,8 +276,7 @@ def find_traps(scenario, records):
     A record qualifies only when every record with another label lies more
     than 2*LABEL_RADIUS away from it (on the line: in x and y), so a state
     within LABEL_RADIUS of it gets its label."""
-    jac = make_jacobian(scenario.pair, scenario.env, scenario.trust,
-                        scenario.protocol_matrix_mode)
+    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
     groups = {}
     for record in records:
         groups.setdefault(label_for(record), []).append(record)
@@ -242,8 +294,7 @@ def find_traps(scenario, records):
                    abs(q.state.n - s.n) if len(axes) == 3 and q.family is None else 0.0)
                <= 2.0 * LABEL_RADIUS for q in others):
             continue
-        trap = _certify(jac, label, center, axes, max(r.residual for r in group),
-                        scenario.settings)
+        trap = _certify(f, label, center, axes, max(r.residual for r in group), scenario.settings)
         if trap is not None:
             traps.append(trap)
     return traps

@@ -35,9 +35,9 @@ from ecoopinion import (
     threshold_bisect,
 )
 from ecoopinion import analysis
-from ecoopinion.dynamics import PROTOCOL_MODES, clamp_branch, make_jacobian
+from ecoopinion.dynamics import PROTOCOL_MODES
 from ecoopinion.scenario import Scenario
-from ecoopinion.traps import find_traps
+from ecoopinion.traps import _jacobian, find_traps
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -439,6 +439,14 @@ class TestParallelScan:
                 time.sleep(0.01)
             assert len(os.listdir("/proc/self/task")) == 1
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="scans fork on Linux only")
+    def test_back_to_back_scans_both_fork(self, hawk_dove, two_cpus):
+        # The OS lists a joined pool thread for a moment after the pool is
+        # gone; the scan waits for it, so the next scan may fork again.
+        for _ in range(2):
+            basin_scan(hawk_dove, "y0", [0.45, 0.7])
+            assert analysis._scan_workers(21) == 2
+
     def test_workers_follow_usable_cpus(self, two_cpus):
         assert analysis._scan_workers(21) == 2
         assert analysis._scan_workers(1) == 1
@@ -630,19 +638,19 @@ def eigenvalues(rows):
 
 
 def jacobian_at(scenario, state):
-    """Jacobian rows at state. On a clamp kink each column is the one-sided
-    derivative along its axis into the cube, on the branch that holds there;
-    where the balance stays on the kink along an axis, both branches give
-    that column."""
-    jac = make_jacobian(scenario.pair, scenario.env, scenario.trust,
-                        scenario.protocol_matrix_mode)
+    """Jacobian rows of make_rhs at state, by forward-mode AD. At the clamp's
+    kink, where p12 == p21 == 0, each column is the one-sided derivative
+    along its axis into the cube, taken at a point nudged inward; where the
+    balance stays on the kink along an axis, either side gives that column."""
+    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
     z = (state.x, state.n, state.y)
+    if f(*z)[5:] != (0.0, 0.0):
+        return _jacobian(f, z)
     columns = []
     for j in range(3):
         inside = list(z)
         inside[j] += 1e-9 * (0.5 - z[j])
-        branch = clamp_branch(jac(*z, "p21")[0]) or clamp_branch(jac(*inside, "p21")[0])
-        columns.append([row[j] for row in jac(*z, branch or "p21")[1]])
+        columns.append([row[j] for row in _jacobian(f, inside)])
     return [list(row) for row in zip(*columns)]
 
 
@@ -760,6 +768,26 @@ class TestTraps:
         near = FixedPointRecord(SystemState(0.7015, 1.0, 1.0), 0.0, "replicator-interior")
         traps = find_traps(hawk_dove, records + [near])
         assert [t.label for t in traps] == ["x=0.3333 n=* y=0.0000"]
+
+    def test_no_trap_at_a_kink_of_the_clamp(self):
+        # With b21 = b22 = 0, S2 vanishes, so on the face y = 0 the balance
+        # q21 = y*S1 is 0 and both rates are 0. Near the face dy = y^2*S1
+        # with S1 < 0: the record (0.639, 1, 0) attracts in y only
+        # quadratically, yet AD at the kink reads dy/dy = S1 and a Hurwitz
+        # (triangular) J. Every box around it straddles the kink, so no trap.
+        sc = list(fixed_point_corpus(seed=8080, count=8))[7]
+        records = find_fixed_points(sc)
+        f = make_rhs(sc.pair, sc.env, sc.trust, sc.protocol_matrix_mode)
+        (r,) = [r for r in records if r.kind == "replicator-interior" and r.state.n == 1.0]
+        z = (r.state.x, r.state.n, r.state.y)
+        assert (sc.trust.b21, sc.trust.b22, r.state.y) == (0.0, 0.0, 0.0)
+        assert f(*z)[5:] == (0.0, 0.0)
+        rows = _jacobian(f, z)
+        assert (rows[1][0], rows[2][0], rows[2][1]) == (0.0, 0.0, 0.0)
+        assert all(rows[i][i] < -0.4 for i in range(3))
+        # From inside the cube the y column vanishes.
+        assert jacobian_at(sc, r.state)[2][2] == pytest.approx(0.0, abs=1e-8)
+        assert label_for(r) not in [t.label for t in find_traps(sc, records)]
 
     def test_no_trap_for_a_long_step(self, hawk_dove):
         # At dt = 2 the RK4 run no longer follows the flow near the sink: from

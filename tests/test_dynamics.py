@@ -16,7 +16,8 @@ from ecoopinion import (
     make_rhs,
     replicator_rhs,
 )
-from ecoopinion.dynamics import CLAMP_BRANCHES, PROTOCOL_MODES, clamp_branch, make_jacobian
+from ecoopinion.dynamics import PROTOCOL_MODES
+from ecoopinion.traps import _Interval, _Straddle, _bounds, _jacobian
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -371,7 +372,8 @@ class TestKernelBits:
 
 
 class TestJacobian:
-    """make_jacobian is the derivative of make_rhs on the active clamp branch."""
+    """Forward-mode AD through make_rhs is its derivative away from the
+    protocol clamp's kinks."""
 
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
     def test_matches_central_differences(self, mode):
@@ -383,13 +385,13 @@ class TestJacobian:
             env = EnvParams(rng.uniform(0.1, 3.0), -rng.uniform(0.0, 3.0))
             trust = TrustMatrix(*(rng.random() for _ in range(4)))
             f = make_rhs(pair, env, trust, mode)
-            jac = make_jacobian(pair, env, trust, mode)
             z = [rng.uniform(0.05, 0.95) for _ in range(3)]
-            q21, _ = jac(*z, "p21")
-            # Interior and away from the clamp's kinks at q21 = -1, 0, 1.
-            if min(abs(q21 - kink) for kink in (-1.0, 0.0, 1.0)) < 1e-2:
+            *_, p12, p21 = f(*z)
+            # Interior and away from the clamp's kinks: each rate is 0, 1 or
+            # at least 1e-2 inside (0, 1), and not both are 0.
+            if p12 == p21 or any(0.0 < p < 1e-2 or 1.0 - 1e-2 < p < 1.0 for p in (p12, p21)):
                 continue
-            _, rows = jac(*z, clamp_branch(q21))
+            rows = _jacobian(f, z)
             for j in range(3):
                 up, down = list(z), list(z)
                 up[j] += h
@@ -400,25 +402,34 @@ class TestJacobian:
                                                        rel=1e-6, abs=1e-7)
             checked += 1
 
-    def test_branch_of_the_balance(self):
-        assert [clamp_branch(q) for q in (0.5, -0.5, 1.5, -1.5)] == list(CLAMP_BRANCHES)
-        assert [clamp_branch(q) for q in (1.0, 0.0, -0.0, -1.0)] == [None] * 4
-
     def test_face_rows_point_into_the_cube(self):
         # At x = 1 the clamped kernel is flat outward; the rows are the
         # derivative from inside.
         f = make_rhs(HD_PAIR, ENV, TRUST)
-        jac = make_jacobian(HD_PAIR, ENV, TRUST)
         z = (1.0, 0.4, 0.6)
-        q21, rows = jac(*z, "p21")
-        _, rows = jac(*z, clamp_branch(q21))
+        rows = _jacobian(f, z)
         h = 1e-7
         inside = [(f(*z)[i] - f(1.0 - h, 0.4, 0.6)[i]) / h for i in range(3)]
         assert [row[0] for row in rows] == pytest.approx(inside, rel=1e-5, abs=1e-6)
 
-    def test_rejects_unknown_branch(self):
-        jac = make_jacobian(HD_PAIR, ENV, TRUST)
-        with pytest.raises(ValueError):
-            jac(0.5, 0.5, 0.5, "p11")
-        with pytest.raises(ValueError):
-            make_jacobian(HD_PAIR, ENV, TRUST, "payoff")
+    def test_straddled_comparison_raises(self):
+        # An interval answers a comparison only when the answer holds over
+        # all of it.
+        box = _Interval(0.2, 0.6)
+        assert (box < 0.7, box > 0.7, box > 0.1, box < 0.1) == (True, False, True, False)
+        assert (box < 0.2, box > 0.6) == (False, False)
+        with pytest.raises(_Straddle):
+            box < 0.5
+        with pytest.raises(_Straddle):
+            box > 0.5
+        # So a box across a kink of the clamp has no Jacobian: around the
+        # hawk-dove saddle (0.468, 1, 0.412) the balance q21 changes sign.
+        f = make_rhs(HD_PAIR, ENV, TRUST)
+        assert f(0.4684, 1.0, 0.4116)[5:] != (0.0, 0.0)
+        _jacobian(f, (0.4684, 1.0, 0.4116))
+        with pytest.raises(_Straddle):
+            _jacobian(f, (_Interval(0.46, 0.48), _Interval(0.99, 1.0), _Interval(0.40, 0.42)))
+        # A box that touches the faces n = 1 and y = 1 from inside does not
+        # straddle the coordinate pins; around the sink (0.7, 1, 1) it has one.
+        rows = _jacobian(f, (_Interval(0.675, 0.725), _Interval(0.975, 1.0), _Interval(0.975, 1.0)))
+        assert all(lo <= hi for row in rows for lo, hi in map(_bounds, row))
