@@ -107,6 +107,15 @@ class TestFindFixedPoints:
         assert has_point(records, 0.7, 0.0, 1.0, tol=1e-6)
         assert has_point(records, 0.7, 1.0, 1.0, tol=1e-6)
 
+    def test_environment_null_line_without_bracket_root(self):
+        # The environment drift vanishes at x = 1/4, where both games favour
+        # hawks (v/c is 1/3 and 0.7): the replicator bracket has no root in y,
+        # so the line adds no record.
+        sc = Scenario(HD_PAIR, EnvParams(3.0, -1.0), TRUST, SystemState(0.5, 0.3, 0.5))
+        records = find_fixed_points(sc)
+        assert has_point(records, 0.7, 1.0, 1.0)
+        assert not any(r.family == "n" or abs(r.state.x - 0.25) < 1e-9 for r in records)
+
     def test_kinds_are_structural(self, hawk_dove):
         records = find_fixed_points(hawk_dove)
         kinds = {r.kind for r in records}
@@ -574,6 +583,14 @@ class TestThresholdBisect:
         with pytest.raises(UnresolvedCellError):
             threshold_bisect(sc, "y0", 0.45, 0.7)
 
+    def test_rejects_an_empty_bracket_before_any_run(self, hawk_dove, monkeypatch):
+        def no_runs(scenario, **kw):
+            raise AssertionError("a run started before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "simulate", no_runs)
+        with pytest.raises(ValueError, match="need lo < hi"):
+            threshold_bisect(hawk_dove, "y0", 0.7, 0.45)
+
     def test_swapped_games_mirror_the_boundary(self):
         # Relabeling the games and the opinions together mirrors the system in
         # y when the protocol runs on the opinion-interpolated matrix, so the
@@ -768,6 +785,22 @@ class TestTraps:
         near = FixedPointRecord(SystemState(0.7015, 1.0, 1.0), 0.0, "replicator-interior")
         traps = find_traps(hawk_dove, records + [near])
         assert [t.label for t in traps] == ["x=0.3333 n=* y=0.0000"]
+
+    def test_no_trap_for_a_label_with_two_records(self, hawk_dove):
+        # A second record in the sink's label leaves no single center.
+        records = find_fixed_points(hawk_dove)
+        twin = FixedPointRecord(SystemState(0.70001, 1.0, 1.0), 0.0, "replicator-interior")
+        assert label_for(twin) == "x=0.7000 n=1.0000 y=1.0000"
+        traps = find_traps(hawk_dove, records + [twin])
+        assert [t.label for t in traps] == ["x=0.3333 n=* y=0.0000"]
+
+    @pytest.mark.parametrize("eps, count", [(1e-4, 0), (1e-5, 2)])
+    def test_no_trap_when_stationarity_is_loose(self, hawk_dove, eps, count):
+        # A run that converges in the trap must end within LABEL_RADIUS; with
+        # a loose eps_stationary it may stop too far out.
+        settings = dataclasses.replace(hawk_dove.settings, eps_stationary=eps)
+        sc = dataclasses.replace(hawk_dove, settings=settings)
+        assert len(find_traps(sc, find_fixed_points(sc))) == count
 
     def test_no_trap_at_a_kink_of_the_clamp(self):
         # With b21 = b22 = 0, S2 vanishes, so on the face y = 0 the balance

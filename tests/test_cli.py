@@ -270,6 +270,35 @@ class TestSweep:
                      "--grid", "0:2:5", "--out-csv", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("spec, text", [
+        ("0:1", "grid spec must be lo:hi:count, got '0:1'"),
+        ("0:x:5", "malformed grid spec '0:x:5'"),
+        ("0:1:0", "grid count must be positive, got 0"),
+        ("0.5:0.5:3", "grid needs lo < hi for more than one point, got '0.5:0.5:3'"),
+    ])
+    def test_bad_grid_spec_is_named(self, hd_cfg, tmp_path, capsys, spec, text):
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
+                     "--grid", spec, "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+    def test_every_cell_failed_exits_one(self, hd_cfg, tmp_path, capsys):
+        # At dt = 3 every run overshoots the cube; each cell still gets its
+        # row and its error, and only then does the sweep exit 1.
+        csv_path = tmp_path / "sweep.csv"
+        json_path = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(hd_cfg), "--set", "dt=3", "--axis", "y0",
+                     "--grid", "0:1:3", "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert code == 1
+        header, rows = read_rows(csv_path)
+        assert header == SWEEP_CSV_HEADER
+        assert rows == ["0,,,,error,false", "0.5,,,,error,false", "1,,,,error,false"]
+        summary = json.loads(json_path.read_text())
+        assert summary["labels"] == [None] * 3 and summary["boundary"] is None
+        assert len(summary["errors"]) == 3
+        assert all("overshot the cube" in error for error in summary["errors"])
+        assert capsys.readouterr().err == "error: every sweep cell failed\n"
+
     def test_grid_count_cap(self):
         assert len(cli._parse_grid("0:1:100000")) == 100000
         with pytest.raises(ConfigError, match="grid count exceeds 100000 in grid spec '0:1:100001'"):
