@@ -9,7 +9,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .dynamics import BlowupError, SystemState, make_rhs
+from .dynamics import BlowupError, SystemState
 from .integrate import simulate
 
 RESIDUAL_TOL = 1e-10
@@ -235,7 +235,7 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     that nulls the replicator bracket. Every candidate is kept only if the
     sup norm of the full derivative is below RESIDUAL_TOL.
     """
-    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
+    f = scenario.rhs()
     theta, psi = scenario.env.theta, scenario.env.psi
 
     def env_factor(x):
@@ -253,19 +253,20 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
         return root if 0.0 < root < 1.0 else None
 
     def bracket_null_y(x):
-        # The bracket u1 - u2 at fixed x is affine in y; return its root, "all"
-        # when it vanishes identically, None when no root lies in [0, 1].
+        # The bracket u1 - u2 at fixed x is affine in y; return the y values it
+        # pins: its root, FAMILY_SAMPLES when it vanishes identically, none
+        # when no root lies in [0, 1].
         _, _, _, u1, u2, _, _ = f(x, 0.0, 0.0)
         g0 = u1 - u2
         _, _, _, u1, u2, _, _ = f(x, 0.0, 1.0)
         g1 = u1 - u2
         den = g0 - g1
         if abs(den) < 1e-14:
-            return "all" if abs(g0) <= 1e-12 else None
+            return FAMILY_SAMPLES if abs(g0) <= 1e-12 else ()
         root = g0 / den
         if -1e-12 <= root <= 1.0 + 1e-12:
-            return min(1.0, max(0.0, root))
-        return None
+            return (min(1.0, max(0.0, root)),)
+        return ()
 
     # Each curve gives x as a function of y at fixed n: the faces x = 0 and
     # x = 1 (n sampled when the environment factor vanishes there, psi == 0 at
@@ -304,16 +305,8 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     # theta > 0 >= psi, so theta - psi > 0.
     x_env = -psi / (theta - psi)
     if 0.0 < x_env < 1.0:
-        null = bracket_null_y(x_env)
-        if null == "all":
-            y_values = list(FAMILY_SAMPLES)
-        elif null is None:
-            y_values = []
-        else:
-            y_values = [null]
-        for n in FAMILY_SAMPLES:
-            for y in y_values:
-                candidates.append((x_env, n, y))
+        y_values = bracket_null_y(x_env)
+        candidates += [(x_env, n, y) for n in FAMILY_SAMPLES for y in y_values]
 
     records = []
     kept: list[tuple[float, float, float]] = []
@@ -356,12 +349,9 @@ def _run_and_label(scenario, records, traps=()):
     caught = []
     stop = None
     if traps:
-        st = scenario.settings
-        t_end = math.floor(st.t_max / st.dt + 1e-9) * st.dt  # simulate's last step time
-
-        def stop(x, n, y, t):
+        def stop(x, n, y, t_left):
             for trap in traps:
-                if trap.captures((x, n, y), t_end - t):
+                if trap.captures((x, n, y), t_left):
                     caught.append(trap.label)
                     return True
             return False
@@ -388,6 +378,12 @@ def _basin_cell(job) -> BasinCell:
                      steps=trajectory.steps, reason=trajectory.reason)
 
 
+def _thread_count() -> int:
+    """Threads of this process as the OS lists them, native ones included;
+    OSError where there is no /proc."""
+    return len(os.listdir("/proc/self/task"))
+
+
 def _scan_workers(cells: int) -> int:
     """Worker processes for a scan of this many cells: one per usable CPU
     (at most one per cell), or 1 for a serial scan.
@@ -403,7 +399,7 @@ def _scan_workers(cells: int) -> int:
     if mp is not None and mp.current_process().daemon:
         return 1
     try:
-        threads = len(os.listdir("/proc/self/task"))
+        threads = _thread_count()
     except OSError:
         return 1
     return 1 if threads > 1 else min(len(os.sched_getaffinity(0)), cells)
@@ -438,7 +434,7 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         import multiprocessing  # only a parallel scan pays for the import
         import signal
 
-        tasks = len(os.listdir("/proc/self/task"))
+        tasks = _thread_count()
         # Workers ignore Ctrl-C: the parent's KeyboardInterrupt ends the map,
         # and leaving the with block terminates the pool.
         with multiprocessing.get_context("fork").Pool(
@@ -449,7 +445,7 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
             pool.join()
         # The OS lists joined helper threads for a moment; wait so the next scan may fork.
         deadline = time.monotonic() + 0.05
-        while len(os.listdir("/proc/self/task")) > tasks and time.monotonic() < deadline:
+        while _thread_count() > tasks and time.monotonic() < deadline:
             time.sleep(1e-4)
     return BasinMap(axis, grid, cells)
 

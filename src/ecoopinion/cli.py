@@ -16,7 +16,7 @@ from .analysis import (
     threshold_bisect,
 )
 from .config import ConfigError, PRESET_NAMES, load_config, preset_text
-from .dynamics import BlowupError, make_rhs
+from .dynamics import BlowupError
 from .integrate import simulate
 from .scenario import AXES
 from .svgchart import trajectory_svg
@@ -75,9 +75,7 @@ def run_simulate(scenario, out_csv, out_json=None, out_svg=None) -> int:
     if out_json is not None:
         records = find_fixed_points(scenario)
         record, dist = nearest_fixed_point(trajectory.terminal, records)
-        f = make_rhs(scenario.pair, scenario.env, scenario.trust,
-                     scenario.protocol_matrix_mode)
-        d = f(trajectory.terminal.x, trajectory.terminal.n, trajectory.terminal.y)
+        d = scenario.rhs()(trajectory.terminal.x, trajectory.terminal.n, trajectory.terminal.y)
         summary = {
             "terminal": _state_dict(trajectory.terminal),
             "converged": trajectory.converged,
@@ -104,7 +102,7 @@ def _parse_grid(spec: str) -> list[float]:
     except ValueError:
         raise ConfigError(f"malformed grid spec {spec!r}") from None
     if count < 1:
-        raise ConfigError(f"grid count must be positive, got {count}")
+        raise ConfigError(f"grid count must be positive in grid spec {spec!r}")
     if count > MAX_GRID_COUNT:
         raise ConfigError(f"grid count exceeds {MAX_GRID_COUNT} in grid spec {spec!r}")
     if not (0.0 <= lo <= hi <= 1.0):
@@ -228,9 +226,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BlowupError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

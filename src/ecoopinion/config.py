@@ -182,11 +182,6 @@ def dumps_config(scenario: Scenario) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
-def save_config(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_config(scenario))
-
-
 def preset_text(name: str) -> str:
     """Raw config text of a shipped preset."""
     if name not in PRESET_NAMES:

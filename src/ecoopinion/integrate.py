@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import BlowupError, SystemState, make_rhs
+from .dynamics import BlowupError, SystemState
 from .game import FieldError, finite_fields
 
 METHODS = ("rk4", "euler")
@@ -147,9 +147,10 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     is fully deterministic: identical inputs produce bit-identical
     trajectories.
 
-    stop, if given, is called as stop(x, n, y, t) at each record time after
-    the first step (every record_every steps) of a run that has not
-    converged; when it returns true the run ends there with reason
+    stop, if given, is called as stop(x, n, y, t_left) at each record time
+    after the first step (every record_every steps) of a run that has not
+    converged, where t_left is the time from there to the run's last step at
+    the horizon; when it returns true the run ends there with reason
     "stopped". Without it no per-step work is added.
 
     Raises BlowupError, with the partial trajectory attached, if the state
@@ -161,10 +162,11 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     st = scenario.settings
     dt = st.dt
     tol = st.projection_tolerance
-    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
+    f = scenario.rhs()
 
     x, n, y = scenario.initial.x, scenario.initial.n, scenario.initial.y
     n_steps = int(math.floor(st.t_max / dt + 1e-9))
+    t_end = n_steps * dt
     hold_steps = int(math.ceil(st.hold_time / dt - 1e-9)) if st.hold_time > 0.0 else 0
     use_rk4 = method == "rk4"
     h2 = 0.5 * dt
@@ -222,7 +224,7 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
         if k % record_every == 0:
             record(t, x, n, y, cur)
             last_recorded = k
-            if stop is not None and not converged and stop(x, n, y, t):
+            if stop is not None and not converged and stop(x, n, y, t_end - t):
                 stopped = True
                 break
     if last_recorded != k:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .dynamics import EnvParams, GamePair, SystemState, TrustMatrix, PROTOCOL_MODES
+from .dynamics import EnvParams, GamePair, SystemState, TrustMatrix, PROTOCOL_MODES, make_rhs
 from .game import FieldError, finite
 from .integrate import IntegratorSettings
 
@@ -41,6 +41,11 @@ class Scenario:
         for name, value in zip(AXES, (self.initial.x, self.initial.n, self.initial.y)):
             if not 0.0 <= value <= 1.0:
                 raise FieldError(name, f"initial {name}={value!r} outside [0, 1]")
+
+    def rhs(self):
+        """The make_rhs evaluator of this scenario's pair, env, trust and
+        protocol mode."""
+        return make_rhs(self.pair, self.env, self.trust, self.protocol_matrix_mode)
 
     def with_initial(self, axis: str, value: float) -> "Scenario":
         """Copy of this scenario with one initial coordinate replaced; the

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import LABEL_RADIUS, label_for
-from .dynamics import make_rhs
+from .analysis import LABEL_RADIUS, distance_to, label_for
 
 _TRAP_RADII = tuple(0.1 / 2 ** k for k in range(7))  # box half-widths: 0.1 halved while >= 1e-3
 
@@ -116,8 +115,8 @@ class _Dual(_Signed):
 
 
 def _jacobian(f, z):
-    """Rows of the derivative of (dx, dn, dy) from f = make_rhs(...) at the
-    point z, from inside the cube on a face; or bounds on them over a box z
+    """Rows of the derivative of (dx, dn, dy) from the make_rhs evaluator f at
+    the point z, from inside the cube on a face; or bounds on them over a box z
     of _Intervals, where a pin or clamp that changes branch raises _Straddle."""
     seeds = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     return [d.grad for d in f(*map(_Dual, z, seeds))[:3]]
@@ -274,9 +273,9 @@ def find_traps(scenario, records):
     sinks, and family="n" lines that attract in (x, y) at every n.
 
     A record qualifies only when every record with another label lies more
-    than 2*LABEL_RADIUS away from it (on the line: in x and y), so a state
-    within LABEL_RADIUS of it gets its label."""
-    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
+    than 2*LABEL_RADIUS away from it (in x and y when either is a line), so a
+    state within LABEL_RADIUS of it gets its label."""
+    f = scenario.rhs()
     groups = {}
     for record in records:
         groups.setdefault(label_for(record), []).append(record)
@@ -290,9 +289,8 @@ def find_traps(scenario, records):
         else:
             continue
         others = [q for other, members in groups.items() if other != label for q in members]
-        if any(max(abs(q.state.x - s.x), abs(q.state.y - s.y),
-                   abs(q.state.n - s.n) if len(axes) == 3 and q.family is None else 0.0)
-               <= 2.0 * LABEL_RADIUS for q in others):
+        if any(min(distance_to(q, s), distance_to(group[0], q.state)) <= 2.0 * LABEL_RADIUS
+               for q in others):
             continue
         trap = _certify(f, label, center, axes, max(r.residual for r in group), scenario.settings)
         if trap is not None:

@@ -344,7 +344,7 @@ class TestLocator:
                 return f(x, n, y)
             return rhs
 
-        monkeypatch.setattr(analysis, "make_rhs", counting_make_rhs)
+        monkeypatch.setattr("ecoopinion.scenario.make_rhs", counting_make_rhs)
         records = find_fixed_points(preset_scenario(preset))
         assert records
         assert 0 < calls[0] <= 1000  # the dense scan made 10,158 and 8,775

@@ -273,7 +273,7 @@ class TestSweep:
     @pytest.mark.parametrize("spec, text", [
         ("0:1", "grid spec must be lo:hi:count, got '0:1'"),
         ("0:x:5", "malformed grid spec '0:x:5'"),
-        ("0:1:0", "grid count must be positive, got 0"),
+        ("0:1:0", "grid count must be positive in grid spec '0:1:0'"),
         ("0.5:0.5:3", "grid needs lo < hi for more than one point, got '0.5:0.5:3'"),
     ])
     def test_bad_grid_spec_is_named(self, hd_cfg, tmp_path, capsys, spec, text):

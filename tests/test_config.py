@@ -16,7 +16,6 @@ from ecoopinion import (
     parse_config,
     preset_scenario,
     preset_text,
-    save_config,
 )
 from ecoopinion.scenario import Scenario
 
@@ -342,7 +341,7 @@ class TestRoundTrip:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         sc = preset_scenario("hawk-dove")
-        save_config(sc, path)
+        path.write_text(dumps_config(sc), encoding="utf-8")
         assert load_config(path) == sc
 
 

@@ -279,8 +279,8 @@ class TestRunReport:
     def test_stopped_at_a_record_time(self):
         calls = []
 
-        def stop(x, n, y, t):
-            calls.append((x, n, y, t))
+        def stop(x, n, y, t_left):
+            calls.append((x, n, y, t_left))
             return len(calls) == 3
 
         full = simulate(hd_scenario())
@@ -288,8 +288,9 @@ class TestRunReport:
         assert trajectory.reason == "stopped" and not trajectory.converged
         assert trajectory.t_converged is None
         # Called every record_every = 10 steps from the first step on, with
-        # the recorded state; the run ends on the third call's sample.
-        assert [c[3] for c in calls] == [0.1, 0.2, 0.3]
+        # the recorded state and the time left to the horizon's last step
+        # (t_max/dt = 50000 steps); the run ends on the third call's sample.
+        assert [c[3] for c in calls] == [50000 * 0.01 - k * 0.01 for k in (10, 20, 30)]
         assert trajectory.steps == 30
         assert trajectory.times == full.times[:4]
         assert trajectory.x == full.x[:4] and trajectory.y == full.y[:4]
