@@ -797,7 +797,7 @@ class TestTraps:
     @pytest.mark.parametrize("eps, count", [(1e-4, 0), (1e-5, 2)])
     def test_no_trap_when_stationarity_is_loose(self, hawk_dove, eps, count):
         # A run that converges in the trap must end within LABEL_RADIUS; with
-        # a loose eps_stationary it may stop too far out.
+        # a loose eps_stationary it may count as converged further out.
         settings = dataclasses.replace(hawk_dove.settings, eps_stationary=eps)
         sc = dataclasses.replace(hawk_dove, settings=settings)
         assert len(find_traps(sc, find_fixed_points(sc))) == count
