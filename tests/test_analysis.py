@@ -116,6 +116,17 @@ class TestFindFixedPoints:
         assert has_point(records, 0.7, 1.0, 1.0)
         assert not any(r.family == "n" or abs(r.state.x - 0.25) < 1e-9 for r in records)
 
+    def test_bracket_free_of_x_has_no_replicator_null(self, hawk_dove):
+        # Both games have a11 - a12 - a21 + a22 == 0, so the replicator bracket
+        # u1 - u2 does not depend on x: no y has an interior x root, and every
+        # record sits on a face x = 0 or x = 1.
+        pair = GamePair(Payoff2x2(1, 0, 0, -1), Payoff2x2(2, 1, 1, 0))
+        sc = Scenario(pair, hawk_dove.env, hawk_dove.trust, SystemState(0.5, 0.5, 0.5))
+        records = find_fixed_points(sc)
+        assert len(records) == 8
+        assert {r.state.x for r in records} <= {0.0, 1.0}
+        assert not any(r.kind == "replicator-interior" for r in records)
+
     def test_kinds_are_structural(self, hawk_dove):
         records = find_fixed_points(hawk_dove)
         kinds = {r.kind for r in records}
@@ -459,6 +470,15 @@ class TestParallelScan:
     def test_workers_follow_usable_cpus(self, two_cpus):
         assert analysis._scan_workers(21) == 2
         assert analysis._scan_workers(1) == 1
+
+    def test_serial_without_proc(self, monkeypatch, two_cpus):
+        # Where /proc/self/task cannot be read the thread count is unknown,
+        # so the scan does not fork.
+        def no_proc():
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(analysis, "_thread_count", no_proc)
+        assert analysis._scan_workers(21) == 1
 
     def test_serial_inside_a_pool_worker(self, hawk_dove, two_cpus):
         with multiprocessing.get_context("fork").Pool(1) as pool:

@@ -17,6 +17,7 @@ from ecoopinion import (
     preset_scenario,
     simulate,
 )
+from ecoopinion import integrate
 from ecoopinion.scenario import Scenario
 
 HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
@@ -252,6 +253,26 @@ class TestBlowup:
         assert trajectory.converged
         k = trajectory.times.index(79.0)
         assert trajectory.x[k] == 1.0
+        assert trajectory.x[k - 1] < 1.0
+
+    def test_rounding_scale_overshoot_is_clipped(self, monkeypatch):
+        # At this dt one Euler step from t ~ 68.6687 overshoots x by 1.0e-10,
+        # inside the projection tolerance, and lands on x == 1 after the clip.
+        sc = preset_scenario("prisoners-dilemma")
+        settings = dataclasses.replace(sc.settings, dt=0.6666863149551486, record_every=1)
+        left = []
+        real = integrate._leave_cube
+
+        def spy(*args):
+            left.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(integrate, "_leave_cube", spy)
+        trajectory = simulate(dataclasses.replace(sc, settings=settings), "euler")
+        assert trajectory.converged
+        assert len(left) == 1 and left[0][0] - 1.0 == pytest.approx(1.0e-10, rel=1e-6)
+        k = trajectory.x.index(1.0)
+        assert trajectory.times[k] == pytest.approx(69.3354, abs=1e-4)
         assert trajectory.x[k - 1] < 1.0
 
     def test_overshoot_beyond_tolerance_keeps_partial(self):
