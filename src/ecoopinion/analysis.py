@@ -72,8 +72,12 @@ class BasinMap:
     """Per-cell terminal labels along one initial-condition axis."""
 
     axis: str
-    grid: tuple[float, ...]
     cells: tuple[BasinCell, ...]
+
+    @property
+    def grid(self) -> tuple[float, ...]:
+        """The scanned axis values, one per cell."""
+        return tuple(cell.initial for cell in self.cells)
 
 
 def label_for(record: FixedPointRecord) -> str:
@@ -447,19 +451,20 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         deadline = time.monotonic() + 0.05
         while _thread_count() > tasks and time.monotonic() < deadline:
             time.sleep(1e-4)
-    return BasinMap(axis, grid, cells)
+    return BasinMap(axis, cells)
 
 
-def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int = 60,
-                     fixed_points=None, target_width: float = 1e-4, endpoint_labels=None) -> float:
+def threshold_bisect(scenario, axis: str, lo: float, hi: float, *, fixed_points=None,
+                     target_width: float = 1e-4, endpoint_labels=None) -> float:
     """Bisect one initial-condition axis for the boundary between two basins.
 
     The endpoints must resolve to different basin labels; a caller that has
     them (a basin scan) passes them as endpoint_labels, and only midpoints are
     simulated. Bisection runs until the bracket is narrower than target_width
-    (finite, > 0) or max_iters (>= 1) is exhausted, and returns the midpoint
-    of the final bracket. An endpoint or midpoint that resolves to no fixed
-    point raises UnresolvedCellError; simulation failures propagate.
+    (finite, > 0) or cannot be halved (its ends are adjacent floats), and
+    returns the midpoint of the final bracket. An endpoint or midpoint that
+    resolves to no fixed point raises UnresolvedCellError; simulation
+    failures propagate.
 
     Only labels are needed, so each run stops at the first record time at
     which a certified trap around an attractor (ecoopinion.traps) holds it,
@@ -473,8 +478,6 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int =
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     if not (math.isfinite(target_width) and target_width > 0.0):
         raise ValueError(f"target_width must be a finite positive number, got {target_width!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
     # Imported on first use: only the bisection needs it, so package import
     # (and with it every CLI command) does not compile it.
@@ -495,16 +498,14 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, max_iters: int =
         raise NoBoundaryError(
             f"both endpoints of [{lo:g}, {hi:g}] resolve to {lo_label!r}; no boundary to bisect"
         )
-    iters = 0
-    while hi - lo >= target_width and iters < max_iters:
+    while hi - lo >= target_width:
         mid = 0.5 * (lo + hi)
-        mid_label = label_at(mid)
-        if mid_label == lo_label:
+        if not lo < mid < hi:
+            break
+        if label_at(mid) == lo_label:
             lo = mid
         else:
             # Covers both the hi label and any third basin appearing in the
             # middle; either way a boundary stays inside [lo, mid].
             hi = mid
-            hi_label = mid_label
-        iters += 1
     return 0.5 * (lo + hi)

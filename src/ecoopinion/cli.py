@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .analysis import (
     NoBoundaryError,
@@ -46,18 +47,9 @@ def _trajectory_csv(trajectory, truncated_at=None, reason=None) -> str:
     return text
 
 
-def _state_dict(state) -> dict:
-    return {"x": state.x, "n": state.n, "y": state.y}
-
-
 def _record_dict(record) -> dict:
-    return {
-        "state": _state_dict(record.state),
-        "residual": record.residual,
-        "kind": record.kind,
-        "family": record.family,
-        "label": label_for(record),
-    }
+    """The record's fields, in field order, then its basin label."""
+    return {**asdict(record), "label": label_for(record)}
 
 
 def run_simulate(scenario, out_csv, out_json=None, out_svg=None) -> int:
@@ -77,7 +69,7 @@ def run_simulate(scenario, out_csv, out_json=None, out_svg=None) -> int:
         record, dist = nearest_fixed_point(trajectory.terminal, records)
         d = scenario.rhs()(trajectory.terminal.x, trajectory.terminal.n, trajectory.terminal.y)
         summary = {
-            "terminal": _state_dict(trajectory.terminal),
+            "terminal": asdict(trajectory.terminal),
             "converged": trajectory.converged,
             "t_converged": trajectory.t_converged,
             "nearest_fixed_point": None if record is None else {

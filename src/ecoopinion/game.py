@@ -123,34 +123,34 @@ class EquilibriumReport:
     degenerate: bool = False
 
 
-def classify_2x2(a: Payoff2x2, tol: float = NASH_TOL) -> EquilibriumReport:
+def classify_2x2(a: Payoff2x2) -> EquilibriumReport:
     """Classify the Nash equilibria of the symmetric game (A, A^T).
 
-    Best-response checks are non-strict with slack tol. The interior mixed
+    Best-response checks are non-strict with slack NASH_TOL. The interior mixed
     equilibrium is computed from the indifference condition and reported only
     when the denominator is safely nonzero, the share lies strictly inside
     (0, 1), and payoff equalization actually holds at it.
     """
-    if abs(a.a11 - a.a21) <= tol and abs(a.a12 - a.a22) <= tol:
+    if abs(a.a11 - a.a21) <= NASH_TOL and abs(a.a12 - a.a22) <= NASH_TOL:
         return EquilibriumReport((), (), None, degenerate=True)
 
     sym = []
-    if a.a11 >= a.a21 - tol:
+    if a.a11 >= a.a21 - NASH_TOL:
         sym.append(1)
-    if a.a22 >= a.a12 - tol:
+    if a.a22 >= a.a12 - NASH_TOL:
         sym.append(2)
 
     asym = []
-    if a.a12 >= a.a22 - tol and a.a21 >= a.a11 - tol:
+    if a.a12 >= a.a22 - NASH_TOL and a.a21 >= a.a11 - NASH_TOL:
         asym.extend([(1, 2), (2, 1)])
 
     mixed = None
     den = a.a11 - a.a12 - a.a21 + a.a22
-    if abs(den) >= tol:
+    if abs(den) >= NASH_TOL:
         xs = (a.a22 - a.a12) / den
         if 0.0 < xs < 1.0:
             gap = expected_payoff(a, 1, xs) - expected_payoff(a, 2, xs)
-            if abs(gap) <= tol:
+            if abs(gap) <= NASH_TOL:
                 mixed = xs
 
     return EquilibriumReport(tuple(sym), tuple(asym), mixed)

@@ -4,20 +4,22 @@ Classical RK4 is the production scheme; forward Euler is kept alongside as an
 independent low-order cross-check. The exact dynamics leave the unit cube
 invariant, so each step's only check is that the new state lies in it. A step
 that leaves it is diagnosed off the hot path: a non-finite derivative or an
-overshoot beyond the projection tolerance aborts the run, and rounding-scale
+overshoot beyond PROJECTION_TOLERANCE aborts the run, and rounding-scale
 overshoot is clipped back onto [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .dynamics import BlowupError, SystemState
 from .game import FieldError, finite_fields
 
 METHODS = ("rk4", "euler")
 MAX_STEPS = 10 ** 8  # cap on t_max/dt and hold_time/dt: 2000 default runs
+# Largest cube overshoot a step may clip; a larger one means dt is too coarse.
+PROJECTION_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,9 @@ class IntegratorSettings:
     record_every: int = 10
     eps_stationary: float = 1e-8
     hold_time: float = 1.0
-    projection_tolerance: float = 1e-9
 
     def __post_init__(self):
-        finite_fields(self, ("dt", "t_max", "eps_stationary", "hold_time", "projection_tolerance"))
+        finite_fields(self, ("dt", "t_max", "eps_stationary", "hold_time"))
         if self.dt <= 0.0:
             raise FieldError("dt", f"dt must be positive, got {self.dt!r}")
         if self.t_max < self.dt:
@@ -57,9 +58,6 @@ class IntegratorSettings:
         if not self.hold_time / self.dt <= MAX_STEPS:
             raise FieldError(("hold_time", "dt"), f"step count hold_time/dt exceeds {MAX_STEPS} "
                              f"for hold_time={self.hold_time!r}, dt={self.dt!r}")
-        if self.projection_tolerance <= 0.0:
-            raise FieldError("projection_tolerance", "projection_tolerance must be positive, "
-                             f"got {self.projection_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ class Trajectory:
     u_avg, p12 and p21 the derived quantities of DerivedSample. reason says
     why the run ended ("converged", "horizon" at t_max, "stopped" by the
     caller's stop test, or "blowup" on the partial trajectory of a
-    BlowupError) and steps how many integration steps it took; both are None
-    when the trajectory is built by hand.
+    BlowupError) and steps how many integration steps it took; both are
+    keyword-only, and None when the trajectory is built by hand.
     """
 
     times: tuple[float, ...]
@@ -100,9 +98,14 @@ class Trajectory:
     p12: tuple[float, ...]
     p21: tuple[float, ...]
     converged: bool
-    t_converged: float | None
+    _: KW_ONLY
     reason: str | None = None
     steps: int | None = None
+
+    @property
+    def t_converged(self) -> float | None:
+        """Time the stationarity hold completed, the last sample's; None if unconverged."""
+        return self.times[-1] if self.converged else None
 
     @property
     def terminal(self) -> SystemState:
@@ -117,11 +120,12 @@ class Trajectory:
         return tuple(map(DerivedSample, self.u1, self.u2, self.u_avg, self.p12, self.p21))
 
 
-def _leave_cube(stages, state, tol, t):
+def _leave_cube(stages, state, t):
     """Diagnose a step from time t whose result (x, n, y) = state left the
     cube: raise BlowupError at the first non-finite stage derivative (stage
     by stage, x, n, y within each), else at the first component beyond the
-    cube by more than tol; otherwise return state clipped onto the cube."""
+    cube by more than PROJECTION_TOLERANCE; otherwise return state clipped
+    onto the cube."""
     for k in stages:
         for component, value in zip("xny", k[:3]):
             if not math.isfinite(value):
@@ -129,7 +133,7 @@ def _leave_cube(stages, state, tol, t):
                                   component=component, t=t)
     clipped = []
     for component, value in zip("xny", state):
-        if value < -tol or value > 1.0 + tol:
+        if value < -PROJECTION_TOLERANCE or value > 1.0 + PROJECTION_TOLERANCE:
             over = -value if value < 0.0 else value - 1.0
             raise BlowupError(
                 f"component {component} overshot the cube by {over:.3e} at t={t:g}; reduce dt",
@@ -143,7 +147,7 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
 
     Stationarity: the sup norm of the derivative stays below
     settings.eps_stationary for settings.hold_time consecutive time units;
-    the time at which the hold completes is reported as t_converged. The run
+    the run ends on the step that completes the hold, t_converged. The run
     is fully deterministic: identical inputs produce bit-identical
     trajectories.
 
@@ -154,14 +158,13 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     "stopped". Without it no per-step work is added.
 
     Raises BlowupError, with the partial trajectory attached, if the state
-    overshoots the cube by more than settings.projection_tolerance or any
-    derivative turns non-finite.
+    overshoots the cube by more than PROJECTION_TOLERANCE (1e-9) or any
+    derivative turns non-finite; a smaller overshoot is clipped onto the cube.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     st = scenario.settings
     dt = st.dt
-    tol = st.projection_tolerance
     f = scenario.rhs()
 
     x, n, y = scenario.initial.x, scenario.initial.n, scenario.initial.y
@@ -183,7 +186,6 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     record(0.0, x, n, y, cur)
     streak = 1 if max(abs(cur[0]), abs(cur[1]), abs(cur[2])) < eps else 0
     converged = streak > hold_steps
-    t_converged = 0.0 if converged else None
     k = 0
     last_recorded = 0
     stopped = False
@@ -206,9 +208,9 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
         if not (0.0 <= nx <= 1.0 and 0.0 <= nn <= 1.0 and 0.0 <= ny <= 1.0):
             try:
                 nx, nn, ny = _leave_cube((cur, k2, k3, k4) if use_rk4 else (cur,),
-                                         (nx, nn, ny), tol, k * dt)
+                                         (nx, nn, ny), k * dt)
             except BlowupError as err:
-                err.partial = Trajectory(*zip(*rows), False, None, "blowup", k)
+                err.partial = Trajectory(*zip(*rows), False, reason="blowup", steps=k)
                 raise
         x, n, y = nx, nn, ny
         k += 1
@@ -218,9 +220,7 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
             streak += 1
         else:
             streak = 0
-        if streak > hold_steps:
-            converged = True
-            t_converged = t
+        converged = streak > hold_steps
         if k % record_every == 0:
             record(t, x, n, y, cur)
             last_recorded = k
@@ -231,4 +231,4 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
         record(k * dt, x, n, y, cur)
 
     reason = "converged" if converged else "stopped" if stopped else "horizon"
-    return Trajectory(*zip(*rows), converged, t_converged, reason, k)
+    return Trajectory(*zip(*rows), converged, reason=reason, steps=k)

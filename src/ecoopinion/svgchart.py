@@ -10,8 +10,9 @@ _ML, _MR, _MT, _MB = 60, 24, 44, 52
 _SERIES = (("x", "#1f77b4"), ("n", "#2ca02c"), ("y", "#d62728"))
 
 
-def trajectory_svg(trajectory, title: str = "") -> str:
-    """Render x(t), n(t), y(t) as three polylines in a fixed 800x600 viewport."""
+def trajectory_svg(trajectory, title: str) -> str:
+    """Render x(t), n(t), y(t) as three polylines in a fixed 800x600 viewport,
+    with title centred above the plot."""
     times = trajectory.times
     t0, t1 = times[0], times[-1]
     span = (t1 - t0) or 1.0
@@ -28,18 +29,12 @@ def trajectory_svg(trajectory, title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
-
-    # frame and gridlines
-    parts.append(
+        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
+        # frame and gridlines
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333" stroke-width="1"/>'
-    )
+        f'fill="none" stroke="#333" stroke-width="1"/>',
+    ]
     for k in range(5):
         v = k / 4
         yy = py(v)

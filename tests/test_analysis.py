@@ -570,10 +570,27 @@ class TestThresholdBisect:
     def test_rebisect_inside_refined_bracket(self, hawk_dove):
         records = find_fixed_points(hawk_dove)
         sharp = threshold_bisect(hawk_dove, "y0", 0.45, 0.7, fixed_points=records,
-                                 target_width=1e-7, max_iters=80)
+                                 target_width=1e-7)
         again = threshold_bisect(hawk_dove, "y0", sharp - 1e-5, sharp + 1e-5,
                                  fixed_points=records)
         assert sharp - 1e-5 <= again <= sharp + 1e-5
+
+    def test_stops_when_the_bracket_cannot_be_halved(self, hawk_dove, monkeypatch):
+        # A target width below the float spacing ends the bisection once the
+        # bracket's ends are adjacent floats: 0.25 halves 52 times to 2**-54.
+        edge = 0.4899633707
+        runs = []
+
+        def run_and_label(scenario, records, traps=()):
+            runs.append(scenario.initial.y)
+            return None, "above" if scenario.initial.y >= edge else "below", 0.0
+
+        monkeypatch.setattr(analysis, "_run_and_label", run_and_label)
+        boundary = threshold_bisect(hawk_dove, "y0", 0.45, 0.7, target_width=5e-324,
+                                    endpoint_labels=("below", "above"))
+        assert len(runs) == 52
+        assert boundary == 0.48996337069999996
+        assert math.nextafter(boundary, 0.0) < edge <= math.nextafter(boundary, 1.0)
 
     def test_same_labels_is_an_error(self, hawk_dove):
         with pytest.raises(NoBoundaryError):
@@ -629,8 +646,6 @@ class TestThresholdBisect:
         (dict(target_width=float("inf")), "target_width"),
         (dict(target_width=0.0), "target_width"),
         (dict(target_width=-1e-4), "target_width"),
-        (dict(max_iters=0), "max_iters"),
-        (dict(max_iters=-5), "max_iters"),
     ])
     def test_rejects_bad_stopping_rule_before_any_run(self, hawk_dove, monkeypatch, kwargs,
                                                       name):

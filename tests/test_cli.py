@@ -151,7 +151,7 @@ def edge_trajectory(size):
     rotated by k, so every column takes every value."""
     columns = [tuple(EDGE_VALUES[(i + k) % len(EDGE_VALUES)] for i in range(size))
                for k in range(9)]
-    return Trajectory(*columns, converged=False, t_converged=None)
+    return Trajectory(*columns, converged=False)
 
 
 def reference_csv(trajectory, marker=""):

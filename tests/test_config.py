@@ -151,7 +151,6 @@ y0 = 0.45
         (None, "t_max = inf", "t_max"),
         (None, "eps_stationary = nan", "eps_stationary"),
         (None, "hold_time = inf", "hold_time"),
-        (None, "projection_tolerance = nan", "projection_tolerance"),
         ("b11 = 0.5", "b11 = nan", "b11"),
         ("n0 = 0.3", "n0 = inf", "n0"),
         ("a1 = 4, 1, 4.5, 1.25", "a1 = 4, 1, inf, 1.25", "a1"),
@@ -191,6 +190,10 @@ y0 = 0.45
                      id="empty-key"),
         pytest.param(MINIMAL + "thetaa = 3\n", (),
                      "<config>, line 13, key 'thetaa': unknown key", "thetaa", 13, id="unknown-key"),
+        # The cube-overshoot tolerance is a module constant, not a setting.
+        pytest.param(MINIMAL + "projection_tolerance = 1e-9\n", (),
+                     "<config>, line 13, key 'projection_tolerance': unknown key",
+                     "projection_tolerance", 13, id="unknown-key-projection-tolerance"),
         pytest.param(MINIMAL + "theta = 3\n", (),
                      "<config>, line 13, key 'theta': duplicate key", "theta", 13,
                      id="duplicate-key"),
@@ -298,8 +301,7 @@ class TestRoundTrip:
             TrustMatrix(1.0, 0.25, 0.0, 2 / 3),
             SystemState(0.123456789, 0.5, 1.0),
             IntegratorSettings(dt=0.002, t_max=77.7, record_every=3,
-                               eps_stationary=1e-9, hold_time=0.5,
-                               projection_tolerance=1e-10),
+                               eps_stationary=1e-9, hold_time=0.5),
             protocol_matrix_mode="opinion",
             label="round-trip probe",
         )
@@ -322,8 +324,7 @@ class TestRoundTrip:
                 IntegratorSettings(dt=rng.uniform(1e-4, 1), t_max=rng.uniform(1, 1e4),
                                    record_every=rng.randint(1, 1000),
                                    eps_stationary=rng.uniform(1e-14, 1e-2),
-                                   hold_time=rng.uniform(0, 10),
-                                   projection_tolerance=rng.uniform(1e-15, 1e-3)),
+                                   hold_time=rng.uniform(0, 10)),
                 protocol_matrix_mode=("env", "opinion")[k % 2],
                 label=rng.choice(["scenario", "pd run", f"probe-{k}", "a=b, c"]),
             )

@@ -62,7 +62,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(record_every=0), dict(record_every=2.5),
-        dict(eps_stationary=0.0), dict(hold_time=-1.0), dict(projection_tolerance=0.0),
+        dict(eps_stationary=0.0), dict(hold_time=-1.0),
         dict(dt=math.inf), dict(t_max=math.nan), dict(dt=1e-320), dict(hold_time=1e308),
         dict(dt=1e-300), dict(hold_time=2e6),
     ])
@@ -242,18 +242,10 @@ class TestBlowup:
             assert exc.value.t == 0.0
 
     @staticmethod
-    def coarse_pd_euler(tolerance):
+    def coarse_pd_euler():
         sc = preset_scenario("prisoners-dilemma")
-        settings = dataclasses.replace(sc.settings, dt=1.0, record_every=1,
-                                       projection_tolerance=tolerance)
+        settings = dataclasses.replace(sc.settings, dt=1.0, record_every=1)
         return dataclasses.replace(sc, settings=settings)
-
-    def test_small_overshoot_is_clipped_onto_cube(self):
-        trajectory = simulate(self.coarse_pd_euler(0.01), "euler")
-        assert trajectory.converged
-        k = trajectory.times.index(79.0)
-        assert trajectory.x[k] == 1.0
-        assert trajectory.x[k - 1] < 1.0
 
     def test_rounding_scale_overshoot_is_clipped(self, monkeypatch):
         # At this dt one Euler step from t ~ 68.6687 overshoots x by 1.0e-10,
@@ -277,7 +269,7 @@ class TestBlowup:
 
     def test_overshoot_beyond_tolerance_keeps_partial(self):
         with pytest.raises(BlowupError) as exc:
-            simulate(self.coarse_pd_euler(1e-3), "euler")
+            simulate(self.coarse_pd_euler(), "euler")
         err = exc.value
         assert str(err) == "component x overshot the cube by 6.702e-03 at t=78; reduce dt"
         assert err.component == "x"
@@ -323,7 +315,7 @@ class TestRunReport:
 
     def test_blowup_partial(self):
         with pytest.raises(BlowupError) as exc:
-            simulate(TestBlowup.coarse_pd_euler(1e-3), "euler")
+            simulate(TestBlowup.coarse_pd_euler(), "euler")
         assert exc.value.partial.reason == "blowup"
         assert exc.value.partial.steps == 78
 
@@ -331,5 +323,8 @@ class TestRunReport:
         trajectory = simulate(hd_scenario(settings=IntegratorSettings(t_max=0.05)))
         columns = [getattr(trajectory, f) for f in ("times", "x", "n", "y", "u1", "u2",
                                                     "u_avg", "p12", "p21")]
-        built = type(trajectory)(*columns, False, None)
-        assert built.reason is None and built.steps is None
+        built = type(trajectory)(*columns, False)
+        assert built.reason is None and built.steps is None and built.t_converged is None
+        # reason and steps are keyword-only, so a positional report fails loudly.
+        with pytest.raises(TypeError):
+            type(trajectory)(*columns, False, None)
