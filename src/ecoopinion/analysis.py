@@ -474,8 +474,9 @@ def threshold_bisect(scenario, axis: str, lo: float, hi: float, *, fixed_points=
     certificate is for the flow; the RK4 run is covered by a step-size guard
     and by parity tests against full runs.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    # Infinite ends would stop the halving at once, with no run to reject them.
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need lo < hi, both finite, got lo={lo!r}, hi={hi!r}")
     if not (math.isfinite(target_width) and target_width > 0.0):
         raise ValueError(f"target_width must be a finite positive number, got {target_width!r}")
     records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)

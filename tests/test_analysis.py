@@ -627,6 +627,10 @@ class TestThresholdBisect:
         monkeypatch.setattr(analysis, "simulate", no_runs)
         with pytest.raises(ValueError, match="need lo < hi"):
             threshold_bisect(hawk_dove, "y0", 0.7, 0.45)
+        # Non-finite ends are refused even when the endpoint labels are given.
+        for lo, hi in ((-math.inf, 0.5), (0.5, math.inf), (math.nan, 0.5)):
+            with pytest.raises(ValueError, match="need lo < hi, both finite"):
+                threshold_bisect(hawk_dove, "y0", lo, hi, endpoint_labels=("a", "b"))
 
     def test_swapped_games_mirror_the_boundary(self):
         # Relabeling the games and the opinions together mirrors the system in
