@@ -372,6 +372,16 @@ class TestExitCodes:
         assert code == 2
         assert text in capsys.readouterr().err
 
+    def test_unencodable_label_exits_two_before_any_output(self, hd_cfg, tmp_path, capsys):
+        # A label byte that is not UTF-8 reaches Python as a lone surrogate.
+        outs = [tmp_path / name for name in ("x.csv", "x.json", "x.svg")]
+        code = main(["simulate", "--config", str(hd_cfg), "--set", "label=a\udcffb",
+                     "--out-csv", str(outs[0]), "--out-json", str(outs[1]),
+                     "--out-svg", str(outs[2])])
+        assert code == 2
+        assert "key 'label'" in capsys.readouterr().err
+        assert not any(path.exists() for path in outs)
+
     def test_unwritable_output(self, hd_cfg, tmp_path):
         code = main(["simulate", "--config", str(hd_cfg),
                      "--out-csv", str(tmp_path / "missing-dir" / "x.csv")])

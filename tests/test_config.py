@@ -331,7 +331,7 @@ class TestRoundTrip:
             assert parse_config(dumps_config(sc)) == sc
 
     @pytest.mark.parametrize("label", [
-        " padded ", "a\rb", "a\x0cb", "a\u2028b", "a\nb", "a#b", "",
+        " padded ", "a\rb", "a\x0cb", "a\u2028b", "a\nb", "a#b", "", "a\udcffb",
     ])
     def test_rejects_labels_that_do_not_round_trip(self, label):
         sc = preset_scenario("hawk-dove")
@@ -349,3 +349,12 @@ class TestRoundTrip:
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
+
+
+def test_load_config_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"label = x\xff")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == (f"{path}: cannot read config file: 'utf-8' codec can't decode "
+                              "byte 0xff in position 9: invalid start byte")

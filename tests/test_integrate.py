@@ -289,6 +289,21 @@ class TestRunReport:
         assert not trajectory.converged and trajectory.reason == "horizon"
         assert trajectory.steps == 200
 
+    def test_converged_on_the_first_sample(self):
+        # With no hold, a start whose derivative is zero ends before any step.
+        sc = Scenario(PD_PAIR, ENV, TRUST, SystemState(1.0, 1.0, 0.0),
+                      IntegratorSettings(hold_time=0.0))
+        trajectory = simulate(sc)
+        assert trajectory.times == (0.0,)
+        assert trajectory.steps == 0 and trajectory.reason == "converged"
+        assert trajectory.t_converged == 0.0
+
+    def test_horizon_off_a_record_step_records_the_last_step(self):
+        settings = IntegratorSettings(dt=0.01, t_max=0.23, record_every=5, eps_stationary=1e-300)
+        trajectory = simulate(hd_scenario(settings=settings))
+        assert trajectory.times == (0.0, 0.05, 0.1, 0.15, 0.2, 0.23)
+        assert trajectory.steps == 23 and trajectory.reason == "horizon"
+
     def test_stopped_at_a_record_time(self):
         calls = []
 
