@@ -165,7 +165,7 @@ def load_config(path, overrides=()) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}", source=str(path)) from exc
     return parse_config(text, source=str(path), overrides=overrides)
 

@@ -15,8 +15,8 @@ AXES = ("x0", "n0", "y0")
 @dataclass(frozen=True)
 class Scenario:
     """One run's inputs. The initial state lies in the unit cube, and the
-    label is one stripped line without '#', so that config text carries it
-    unchanged."""
+    label is one stripped line without '#', encodable as UTF-8, so that
+    config text carries it unchanged."""
 
     pair: GamePair
     env: EnvParams
@@ -32,6 +32,10 @@ class Scenario:
             raise FieldError(
                 "label", f"label must be a nonempty stripped single line without '#', got {label!r}"
             )
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise FieldError("label", f"label must be encodable as UTF-8: {err}") from None
         if self.protocol_matrix_mode not in PROTOCOL_MODES:
             raise FieldError(
                 "protocol_matrix_mode",
