@@ -256,22 +256,6 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
         root = (m22 - m12) / den
         return root if 0.0 < root < 1.0 else None
 
-    def bracket_null_y(x):
-        # The bracket u1 - u2 at fixed x is affine in y; return the y values it
-        # pins: its root, FAMILY_SAMPLES when it vanishes identically, none
-        # when no root lies in [0, 1].
-        _, _, _, u1, u2, _, _ = f(x, 0.0, 0.0)
-        g0 = u1 - u2
-        _, _, _, u1, u2, _, _ = f(x, 0.0, 1.0)
-        g1 = u1 - u2
-        den = g0 - g1
-        if abs(den) < 1e-14:
-            return FAMILY_SAMPLES if abs(g0) <= 1e-12 else ()
-        root = g0 / den
-        if -1e-12 <= root <= 1.0 + 1e-12:
-            return (min(1.0, max(0.0, root)),)
-        return ()
-
     # Each curve gives x as a function of y at fixed n: the faces x = 0 and
     # x = 1 (n sampled when the environment factor vanishes there, psi == 0 at
     # x = 0), then the replicator null on the faces n = 0 and n = 1. The
@@ -305,11 +289,21 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
                 candidates.append((x, n, y))
 
     # Environment-null line: interior x where the drift factor vanishes makes
-    # n a free parameter; the replicator bracket then pins y. EnvParams keeps
-    # theta > 0 >= psi, so theta - psi > 0.
+    # n a free parameter. The bracket u1 - u2 there is affine in y and pins y:
+    # its root in [0, 1], or FAMILY_SAMPLES when it vanishes identically.
+    # EnvParams keeps theta > 0 >= psi, so theta - psi > 0.
     x_env = -psi / (theta - psi)
     if 0.0 < x_env < 1.0:
-        y_values = bracket_null_y(x_env)
+        _, _, _, u1, u2, _, _ = f(x_env, 0.0, 0.0)
+        g0 = u1 - u2
+        _, _, _, u1, u2, _, _ = f(x_env, 0.0, 1.0)
+        g1 = u1 - u2
+        den = g0 - g1
+        if abs(den) < 1e-14:
+            y_values = FAMILY_SAMPLES if abs(g0) <= 1e-12 else ()
+        else:
+            root = g0 / den
+            y_values = (min(1.0, max(0.0, root)),) if -1e-12 <= root <= 1.0 + 1e-12 else ()
         candidates += [(x_env, n, y) for n in FAMILY_SAMPLES for y in y_values]
 
     records = []
@@ -438,7 +432,6 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         import multiprocessing  # only a parallel scan pays for the import
         import signal
 
-        tasks = _thread_count()
         # Workers ignore Ctrl-C: the parent's KeyboardInterrupt ends the map,
         # and leaving the with block terminates the pool.
         with multiprocessing.get_context("fork").Pool(
@@ -447,9 +440,9 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
             cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
             pool.close()
             pool.join()
-        # The OS lists joined helper threads for a moment; wait so the next scan may fork.
+        # Joined helpers stay listed a moment; wait for the one thread so a next scan may fork.
         deadline = time.monotonic() + 0.05
-        while _thread_count() > tasks and time.monotonic() < deadline:
+        while _thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(1e-4)
     return BasinMap(axis, cells)
 

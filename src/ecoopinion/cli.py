@@ -39,11 +39,11 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _trajectory_csv(trajectory, truncated_at=None, reason=None) -> str:
+def _trajectory_csv(trajectory, error=None) -> str:
     rows = zip(*[getattr(trajectory, name) for name in _CSV_COLUMNS])
     text = CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
-    if truncated_at is not None:
-        text += f"# truncated at t={_fmt(truncated_at)}: {reason}\n"
+    if error is not None:
+        text += f"# truncated at t={_fmt(error.t)}: {error}\n"
     return text
 
 
@@ -57,9 +57,8 @@ def run_simulate(scenario, out_csv, out_json=None, out_svg=None) -> int:
     chart; nonzero on blowup, with the partial CSV retained and marked."""
     try:
         trajectory = simulate(scenario)
-    except BlowupError as err:
-        if err.partial is not None:
-            _write_text(out_csv, _trajectory_csv(err.partial, truncated_at=err.t, reason=err))
+    except BlowupError as err:  # simulate attaches the partial trajectory
+        _write_text(out_csv, _trajectory_csv(err.partial, err))
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_text(out_csv, _trajectory_csv(trajectory))

@@ -66,15 +66,11 @@ class GamePair:
     a1: Payoff2x2
 
 
-def _check_share(x: float) -> None:
-    if not math.isfinite(x) or x < -WEIGHT_TOL or x > 1.0 + WEIGHT_TOL:
-        raise ValueError(f"population share {x!r} outside [0, 1]")
-
-
 def expected_payoff(a: Payoff2x2, i: int, x: float) -> float:
     """Payoff of pure strategy i against a random opponent drawn from a
     population playing strategy 1 with probability x."""
-    _check_share(x)
+    if not math.isfinite(x) or x < -WEIGHT_TOL or x > 1.0 + WEIGHT_TOL:
+        raise ValueError(f"population share {x!r} outside [0, 1]")
     if i == 1:
         return a.a11 * x + a.a12 * (1.0 - x)
     if i == 2:
@@ -97,12 +93,6 @@ def hawk_dove_matrix(v: float, c: float) -> Payoff2x2:
     if not 0.0 < v < c:
         raise FieldError(("v", "c"), f"hawk-dove game needs 0 < v < c, got v={v!r}, c={c!r}")
     return Payoff2x2((v - c) / 2.0, v, 0.0, v / 2.0)
-
-
-def hawk_dove_pair(v0: float, c0: float, v1: float, c1: float) -> GamePair:
-    """Hawk-dove games for the depleted (v0, c0) and replenished (v1, c1)
-    environment."""
-    return GamePair(hawk_dove_matrix(v0, c0), hawk_dove_matrix(v1, c1))
 
 
 @dataclass(frozen=True)

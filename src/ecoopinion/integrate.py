@@ -170,7 +170,7 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     x, n, y = scenario.initial.x, scenario.initial.n, scenario.initial.y
     n_steps = int(math.floor(st.t_max / dt + 1e-9))
     t_end = n_steps * dt
-    hold_steps = int(math.ceil(st.hold_time / dt - 1e-9)) if st.hold_time > 0.0 else 0
+    hold_steps = int(math.ceil(st.hold_time / dt - 1e-9))
     use_rk4 = method == "rk4"
     h2 = 0.5 * dt
     s = dt / 6.0
@@ -187,8 +187,7 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     streak = 1 if max(abs(cur[0]), abs(cur[1]), abs(cur[2])) < eps else 0
     converged = streak > hold_steps
     k = 0
-    last_recorded = 0
-    stopped = False
+    reason = "horizon"
 
     while k < n_steps and not converged:
         k1x, k1n, k1y = cur[0], cur[1], cur[2]
@@ -214,7 +213,6 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
                 raise
         x, n, y = nx, nn, ny
         k += 1
-        t = k * dt
         cur = f(x, n, y)
         if max(abs(cur[0]), abs(cur[1]), abs(cur[2])) < eps:
             streak += 1
@@ -222,13 +220,13 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
             streak = 0
         converged = streak > hold_steps
         if k % record_every == 0:
+            t = k * dt
             record(t, x, n, y, cur)
-            last_recorded = k
             if stop is not None and not converged and stop(x, n, y, t_end - t):
-                stopped = True
+                reason = "stopped"
                 break
-    if last_recorded != k:
+    if k % record_every:
         record(k * dt, x, n, y, cur)
-
-    reason = "converged" if converged else "stopped" if stopped else "horizon"
+    if converged:
+        reason = "converged"
     return Trajectory(*zip(*rows), converged, reason=reason, steps=k)

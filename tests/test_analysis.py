@@ -25,7 +25,7 @@ from ecoopinion import (
     UnresolvedCellError,
     basin_scan,
     find_fixed_points,
-    hawk_dove_pair,
+    hawk_dove_matrix,
     label_for,
     make_rhs,
     nearest_fixed_point,
@@ -39,7 +39,7 @@ from ecoopinion.dynamics import PROTOCOL_MODES
 from ecoopinion.scenario import Scenario
 from ecoopinion.traps import _jacobian, find_traps
 
-HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
+HD_PAIR = GamePair(hawk_dove_matrix(4, 12), hawk_dove_matrix(7, 10))
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
 ENV = EnvParams(2.0, -1.0)
 TRUST = TrustMatrix(0.5, 0.0, 0.0, 0.5)
@@ -179,7 +179,7 @@ def fixed_point_corpus(seed=8080, count=150):
                 psi = -theta * v0 / (c0 - v0)
                 if rng.random() < 0.5:
                     v1, c1 = 2.0 * v0, 2.0 * c0
-            pair = hawk_dove_pair(v0, c0, v1, c1)
+            pair = GamePair(hawk_dove_matrix(v0, c0), hawk_dove_matrix(v1, c1))
         trust = TrustMatrix(*[rng.choice((0.0, 1.0, rng.random())) for _ in range(4)])
         yield Scenario(pair, EnvParams(theta, psi), trust, SystemState(0.5, 0.5, 0.5),
                        protocol_matrix_mode=rng.choice(PROTOCOL_MODES))

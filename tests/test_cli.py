@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoopinion import ConfigError, analysis, cli, load_config, svgchart
+from ecoopinion import BlowupError, ConfigError, analysis, cli, load_config, svgchart
 from ecoopinion.cli import CSV_HEADER, SWEEP_CSV_HEADER, main
 from ecoopinion.integrate import Trajectory
 
@@ -181,7 +181,7 @@ class TestFormatters:
 
     def test_csv_truncation_marker(self):
         trajectory = edge_trajectory(8)
-        text = cli._trajectory_csv(trajectory, truncated_at=1 / 3, reason="boom")
+        text = cli._trajectory_csv(trajectory, BlowupError("boom", t=1 / 3))
         marker = "# truncated at t=0.33333333333333331: boom"
         assert text == reference_csv(trajectory, marker)
         assert text.endswith(marker + "\n")

@@ -11,7 +11,7 @@ from ecoopinion import (
     TrustMatrix,
     environment_rhs,
     expected_payoff,
-    hawk_dove_pair,
+    hawk_dove_matrix,
     imitation_rate,
     make_rhs,
     replicator_rhs,
@@ -19,7 +19,7 @@ from ecoopinion import (
 from ecoopinion.dynamics import PROTOCOL_MODES
 from ecoopinion.traps import _Interval, _Straddle, _bounds, _jacobian
 
-HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
+HD_PAIR = GamePair(hawk_dove_matrix(4, 12), hawk_dove_matrix(7, 10))
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
 ENV = EnvParams(theta=2.0, psi=-1.0)
 TRUST = TrustMatrix(0.5, 0.0, 0.0, 0.5)

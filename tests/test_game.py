@@ -11,10 +11,9 @@ from ecoopinion import (
     classify_2x2,
     expected_payoff,
     hawk_dove_matrix,
-    hawk_dove_pair,
 )
 
-HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
+HD_PAIR = GamePair(hawk_dove_matrix(4, 12), hawk_dove_matrix(7, 10))
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
 
 

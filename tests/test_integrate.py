@@ -12,7 +12,7 @@ from ecoopinion import (
     Payoff2x2,
     SystemState,
     TrustMatrix,
-    hawk_dove_pair,
+    hawk_dove_matrix,
     make_rhs,
     preset_scenario,
     simulate,
@@ -20,7 +20,7 @@ from ecoopinion import (
 from ecoopinion import integrate
 from ecoopinion.scenario import Scenario
 
-HD_PAIR = hawk_dove_pair(4, 12, 7, 10)
+HD_PAIR = GamePair(hawk_dove_matrix(4, 12), hawk_dove_matrix(7, 10))
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
 ENV = EnvParams(2.0, -1.0)
 TRUST = TrustMatrix(0.5, 0.0, 0.0, 0.5)
