@@ -204,6 +204,19 @@ class TestFixedPointBits:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestNearestFixedPoint:
+    def test_ties_keep_the_first_record(self, hawk_dove):
+        # Along the family line every sample lies at distance 0; the first wins.
+        records = find_fixed_points(hawk_dove)
+        line = [r for r in records if r.family == "n"]
+        assert [r.state.n for r in line] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        record, dist = nearest_fixed_point(SystemState(1 / 3, 0.6, 0.0), records)
+        assert record is line[0] and dist == 0.0
+
+    def test_no_records(self):
+        assert nearest_fixed_point(SystemState(0.5, 0.5, 0.5), []) == (None, math.inf)
+
+
 class TestBasinScan:
     def test_two_seed_labels(self, hawk_dove):
         basin = basin_scan(hawk_dove, "y0", [0.45, 0.7])
