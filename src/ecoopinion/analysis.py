@@ -3,6 +3,7 @@ initial-condition axis, and basin-boundary bisection."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -96,15 +97,10 @@ def distance_to(record: FixedPointRecord, state: SystemState) -> float:
 
 
 def nearest_fixed_point(state: SystemState, records):
-    """Nearest record and its distance; (None, inf) when records is empty."""
-    best = None
-    best_dist = float("inf")
-    for record in records:
-        dist = distance_to(record, state)
-        if dist < best_dist:
-            best = record
-            best_dist = dist
-    return best, best_dist
+    """Nearest record and its distance, the first of equal ones; (None, inf)
+    when records is empty."""
+    best = min(records, key=lambda r: distance_to(r, state), default=None)
+    return best, math.inf if best is None else distance_to(best, state)
 
 
 def _bisect_root(g, lo, hi, vlo):
@@ -192,12 +188,7 @@ def _scan_roots(h, locator, edges):
     for m in marks:
         k = int(m / step)  # the cell [k*step, (k+1)*step] holds m
         cells.update(range(max(0, k - 2), min(last, k + 3) + 1))
-    vals = {}
-
-    def val(i):
-        if i not in vals:
-            vals[i] = h(step * i)
-        return vals[i]
+    val = functools.cache(lambda i: h(step * i))
 
     def small(i):
         v = val(i)
@@ -432,14 +423,16 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         import multiprocessing  # only a parallel scan pays for the import
         import signal
 
-        # Workers ignore Ctrl-C: the parent's KeyboardInterrupt ends the map,
-        # and leaving the with block terminates the pool.
-        with multiprocessing.get_context("fork").Pool(
-                workers, initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
-            pool.close()
-            pool.join()
+        # Ctrl-C reaches the parent only, inside the with block, whose exit
+        # terminates and joins the pool: SIGINT stays blocked while the pool
+        # forks, and the workers inherit that mask.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # Joined helpers stay listed a moment; wait for the one thread so a next scan may fork.
         deadline = time.monotonic() + 0.05
         while _thread_count() > 1 and time.monotonic() < deadline:

@@ -8,7 +8,6 @@ import sys
 from dataclasses import asdict
 
 from .analysis import (
-    NoBoundaryError,
     UnresolvedCellError,
     basin_scan,
     find_fixed_points,
@@ -136,10 +135,10 @@ def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
     if len(switches) == 1:
         a, b = switches[0]
         try:
-            # The scan has labelled both cells; only midpoints are simulated.
+            # The scan gave the cells two labels; only midpoints are simulated.
             boundary = threshold_bisect(scenario, axis, a.initial, b.initial, fixed_points=records,
                                         endpoint_labels=(a.label, b.label))
-        except (NoBoundaryError, UnresolvedCellError, BlowupError) as err:
+        except (UnresolvedCellError, BlowupError) as err:
             print(f"warning: boundary bisection failed: {err}", file=sys.stderr)
 
     if out_json is not None:

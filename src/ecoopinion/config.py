@@ -163,7 +163,7 @@ def parse_config(text: str, source: str = "<config>", overrides=()) -> Scenario:
 def load_config(path, overrides=()) -> Scenario:
     """Read and parse a scenario file; see parse_config."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}", source=str(path)) from exc

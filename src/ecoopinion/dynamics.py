@@ -23,11 +23,10 @@ PROTOCOL_MODES = ("env", "opinion")
 class BlowupError(RuntimeError):
     """The simulated state left its valid domain or turned non-finite."""
 
-    def __init__(self, message, *, component=None, t=None, partial=None):
+    def __init__(self, message, *, component=None, t=None):
         super().__init__(message)
         self.component = component
         self.t = t
-        self.partial = partial
 
 
 @dataclass(frozen=True)

@@ -522,21 +522,56 @@ class TestParallelScan:
         assert basin_scan(hawk_dove, "y0", []).cells == ()
         assert multiprocessing.active_children() == []
 
-    def _interrupt_sweep(self, tmp_path, interrupt):
-        """Start a sweep in its own session, interrupt it mid-scan and return
-        its exit status and stderr once no process of the session is left."""
+    @staticmethod
+    def _wait_for_a_worker(proc, pgid):
+        """Return as soon as /proc lists a second live process in the process
+        group, the sweep's first pool worker; fail if the sweep exits or no
+        worker appears within 10 s."""
+        deadline = time.monotonic() + 10
+        while proc.poll() is None and time.monotonic() < deadline:
+            live = 0
+            for pid in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{pid}/stat") as fh:
+                        state, _, pgrp = fh.read().rpartition(")")[2].split()[:3]
+                except OSError:  # the process has gone
+                    continue
+                if int(pgrp) == pgid and state != "Z":
+                    live += 1
+            if live > 1:
+                return
+        pytest.fail("no pool worker appeared in the sweep's process group")
+
+    def _interrupt_sweep(self, tmp_path, when, interrupt):
+        """Start a sweep in its own session, interrupt it while its pool
+        starts (when="pool-start") or 0.1 s later, during the map
+        (when="map"), and return its exit status and stderr once no process
+        of the session is left. A serial scan forks no worker, so there the
+        signal lands after a fixed 1 s."""
         cfg = tmp_path / "hd.cfg"
         cfg.write_text(preset_text("hawk-dove"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(analysis.__file__)), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ecoopinion.cli", "sweep", "--config", str(cfg), "--axis", "y0",
-             "--grid", "0:1:401", "--out-csv", str(tmp_path / "sweep.csv")],
-            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            text=True)
+        # Exec keeps an ignored SIGINT ignored (as in a background job of a
+        # non-interactive shell) but resets a caught one, so the sweep starts
+        # with the default Ctrl-C behaviour whatever this process inherited.
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ecoopinion.cli", "sweep", "--config", str(cfg),
+                 "--axis", "y0", "--grid", "0:1:401", "--out-csv", str(tmp_path / "sweep.csv")],
+                env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True)
+        finally:
+            signal.signal(signal.SIGINT, handler)
         pgid = os.getpgid(proc.pid)
         try:
-            time.sleep(1.0)  # start-up and fixed points take about 0.2 s
+            if len(os.sched_getaffinity(0)) < 2:
+                time.sleep(1.0)  # start-up and fixed points take about 0.2 s
+            else:
+                self._wait_for_a_worker(proc, pgid)
+                if when == "map":
+                    time.sleep(0.1)
             interrupt(proc, pgid)
             _, stderr = proc.communicate(timeout=10)
             with pytest.raises(ProcessLookupError):
@@ -547,18 +582,22 @@ class TestParallelScan:
             except ProcessLookupError:
                 pass
             proc.communicate(timeout=10)
+        # A sweep that finished before the signal landed shows nothing.
+        assert not (tmp_path / "sweep.csv").exists()
         return proc.returncode, stderr
 
-    def test_interrupted_sweep_leaves_no_process(self, tmp_path):
+    @pytest.mark.parametrize("when", ["pool-start", "map"])
+    def test_interrupted_sweep_leaves_no_process(self, tmp_path, when):
         status, _ = self._interrupt_sweep(
-            tmp_path, lambda proc, pgid: proc.send_signal(signal.SIGINT))
+            tmp_path, when, lambda proc, pgid: proc.send_signal(signal.SIGINT))
         assert status != 0
 
-    def test_ctrl_c_prints_one_traceback(self, tmp_path):
+    @pytest.mark.parametrize("when", ["pool-start", "map"])
+    def test_ctrl_c_prints_one_traceback(self, tmp_path, when):
         # A terminal sends Ctrl-C to the whole process group, pool workers
         # included; only the parent may report it.
         status, stderr = self._interrupt_sweep(
-            tmp_path, lambda proc, pgid: os.killpg(pgid, signal.SIGINT))
+            tmp_path, when, lambda proc, pgid: os.killpg(pgid, signal.SIGINT))
         assert status != 0
         lines = stderr.splitlines()
         assert sum(line.startswith("KeyboardInterrupt") for line in lines) == 1, stderr

@@ -358,3 +358,10 @@ def test_load_config_undecodable_file(tmp_path):
         load_config(path)
     assert str(exc.value) == (f"{path}: cannot read config file: 'utf-8' codec can't decode "
                               "byte 0xff in position 9: invalid start byte")
+
+
+@pytest.mark.parametrize("name", ["hawk-dove", "prisoners-dilemma"])
+def test_load_config_ignores_a_byte_order_mark(tmp_path, name):
+    path = tmp_path / f"{name}.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + preset_text(name).encode("utf-8"))
+    assert load_config(path) == preset_scenario(name)
