@@ -306,7 +306,7 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
             continue
         d = f(cx, cn, cy)
         residual = max(abs(d[0]), abs(d[1]), abs(d[2]))
-        if residual >= RESIDUAL_TOL:
+        if not residual < RESIDUAL_TOL:  # a NaN residual is rejected too
             continue
         kept.append((cx, cn, cy))
         family = "n" if abs(env_factor(cx)) <= _ZERO_TOL else None
@@ -394,7 +394,7 @@ def _scan_workers(cells: int) -> int:
     return 1 if threads > 1 else min(len(os.sched_getaffinity(0)), cells)
 
 
-def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
+def basin_scan(scenario, axis: str, grid, fixed_points=None, *, each=None) -> BasinMap:
     """Run one simulation per grid value of the chosen initial-condition axis
     and label each terminal state by its nearest fixed point.
 
@@ -409,16 +409,27 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
     serial path), inside a daemonic process and while the caller runs a
     second thread. Cells are assembled in grid order, and every output bit
     is the same either way.
+    With each, each(cells) is called in the calling process as every cell
+    arrives, in grid order, with the list of cells so far (read-only: the
+    scan appends to it). In a parallel scan the pool keeps running the
+    remaining cells meanwhile; an error from each ends the scan.
     A bad axis or grid value raises ValueError before any cell runs.
     """
     grid = tuple(float(g) for g in grid)
     starts = [scenario.with_initial(axis, g) for g in grid]
     records = find_fixed_points(scenario) if fixed_points is None else list(fixed_points)
     jobs = [(g, start, records) for g, start in zip(grid, starts)]
+    cells: list[BasinCell] = []
+
+    def arrived(cell):
+        cells.append(cell)
+        if each is not None:
+            each(cells)
 
     workers = _scan_workers(len(jobs))
     if workers == 1:
-        cells = tuple(map(_basin_cell, jobs))
+        for job in jobs:
+            arrived(_basin_cell(job))
     else:
         import multiprocessing  # only a parallel scan pays for the import
         import signal
@@ -430,14 +441,17 @@ def basin_scan(scenario, axis: str, grid, fixed_points=None) -> BasinMap:
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                cells = tuple(pool.map(_basin_cell, jobs, chunksize=1))
+                # Not imap: its next() waits inside an except block, so a
+                # Ctrl-C there would print a second, chained traceback.
+                for result in [pool.apply_async(_basin_cell, (job,)) for job in jobs]:
+                    arrived(result.get())
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # Joined helpers stay listed a moment; wait for the one thread so a next scan may fork.
         deadline = time.monotonic() + 0.05
         while _thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(1e-4)
-    return BasinMap(axis, cells)
+    return BasinMap(axis, tuple(cells))
 
 
 def threshold_bisect(scenario, axis: str, lo: float, hi: float, *, fixed_points=None,

@@ -106,12 +106,35 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo + step * k for k in range(count - 1)] + [hi]
 
 
+def _switches(cells):
+    """Neighbouring cell pairs that both have labels, and different ones."""
+    return [(a, b) for a, b in zip(cells, cells[1:])
+            if a.label is not None and b.label is not None and a.label != b.label]
+
+
 def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
     """Basin scan over one initial-condition axis; emits one CSV row per grid
     value and a JSON summary with the bisected boundary when the scan shows
     exactly one label switch.  Nonzero only when every cell fails."""
     records = find_fixed_points(scenario)
-    basin = basin_scan(scenario, axis, grid, fixed_points=records)
+    # The first switch is bisected as soon as the scan has both its cells,
+    # while a parallel scan runs on; the outcome (a boundary or the error)
+    # counts only if the whole scan shows no other switch.
+    bisected = []
+
+    def bisect_first_switch(cells):
+        if bisected or not _switches(cells[-2:]):
+            return
+        a, b = cells[-2:]
+        try:
+            # The scan gave the cells two labels; only midpoints are simulated.
+            bisected.append(threshold_bisect(scenario, axis, a.initial, b.initial,
+                                             fixed_points=records,
+                                             endpoint_labels=(a.label, b.label)))
+        except (UnresolvedCellError, BlowupError) as err:
+            bisected.append(err)
+
+    basin = basin_scan(scenario, axis, grid, fixed_points=records, each=bisect_first_switch)
 
     lines = [SWEEP_CSV_HEADER]
     for cell in basin.cells:
@@ -129,17 +152,13 @@ def run_sweep(scenario, axis, grid, out_csv, out_json=None) -> int:
         ]))
     _write_text(out_csv, "\n".join(lines) + "\n")
 
-    switches = [(a, b) for a, b in zip(basin.cells, basin.cells[1:])
-                if a.label is not None and b.label is not None and a.label != b.label]
     boundary = None
-    if len(switches) == 1:
-        a, b = switches[0]
-        try:
-            # The scan gave the cells two labels; only midpoints are simulated.
-            boundary = threshold_bisect(scenario, axis, a.initial, b.initial, fixed_points=records,
-                                        endpoint_labels=(a.label, b.label))
-        except (UnresolvedCellError, BlowupError) as err:
-            print(f"warning: boundary bisection failed: {err}", file=sys.stderr)
+    if len(_switches(basin.cells)) == 1:
+        (outcome,) = bisected
+        if isinstance(outcome, Exception):
+            print(f"warning: boundary bisection failed: {outcome}", file=sys.stderr)
+        else:
+            boundary = outcome
 
     if out_json is not None:
         summary = {

@@ -98,6 +98,13 @@ class TestFindFixedPoints:
                 d = f(r.state.x, r.state.n, r.state.y)
                 assert max(abs(d[0]), abs(d[1]), abs(d[2])) == r.residual
 
+    def test_overflowing_derivative_verifies_no_record(self):
+        # Payoffs near the float limit overflow the derivative at every
+        # candidate; a NaN residual is no verified stationary point.
+        big = Payoff2x2(1e308, 1e308, -1e308, -1e308)
+        sc = Scenario(GamePair(big, big), ENV, TrustMatrix(1, 1, 1, 1), SystemState(0.5, 0.3, 0.5))
+        assert all(r.residual < analysis.RESIDUAL_TOL for r in find_fixed_points(sc))
+
     def test_zero_trust_freezes_opinions(self):
         # with no trust anywhere the opinion share never moves, so each
         # per-opinion replicator null appears at both y = 0 and y = 1
@@ -472,6 +479,27 @@ class TestParallelScan:
                 time.sleep(0.01)
             assert len(os.listdir("/proc/self/task")) == 1
 
+    def test_each_sees_every_prefix_in_grid_order(self, monkeypatch, hawk_dove):
+        bits = []
+        for workers in (2, 1):
+            monkeypatch.setattr(analysis, "_scan_workers", lambda cells, w=workers: w)
+            prefixes = []
+            basin = basin_scan(hawk_dove, "y0", self.GRID,
+                               each=lambda cells: prefixes.append(tuple(cells)))
+            assert prefixes == [basin.cells[:k] for k in range(1, len(self.GRID) + 1)]
+            bits.append(_map_bits(basin))
+        assert bits == [_map_bits(basin_scan(hawk_dove, "y0", self.GRID))] * 2
+
+    def test_an_error_from_each_ends_the_scan(self, monkeypatch, hawk_dove):
+        monkeypatch.setattr(analysis, "_scan_workers", lambda cells: 2)
+
+        def each(cells):
+            raise _CellFailure(f"stopped after {len(cells)} cells")
+
+        with pytest.raises(_CellFailure, match="after 1 cells"):
+            basin_scan(hawk_dove, "y0", self.GRID, each=each)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(sys.platform != "linux", reason="scans fork on Linux only")
     def test_back_to_back_scans_both_fork(self, hawk_dove, two_cpus):
         # The OS lists a joined pool thread for a moment after the pool is
@@ -542,31 +570,69 @@ class TestParallelScan:
                 return
         pytest.fail("no pool worker appeared in the sweep's process group")
 
+    @staticmethod
+    def _wait_for_file(proc, path):
+        """Return as soon as path exists; fail if the sweep exits or the file
+        does not appear within 10 s."""
+        deadline = time.monotonic() + 10
+        while proc.poll() is None and time.monotonic() < deadline:
+            if path.exists():
+                return
+            time.sleep(1e-3)
+        pytest.fail(f"{path.name} did not appear")
+
+    # The sweep command, with find_traps (the bisection's first step)
+    # touching the file named by the first argument.
+    MARK_BISECTION = (
+        "import pathlib, sys\n"
+        "import ecoopinion.cli, ecoopinion.traps as traps\n"
+        "real = traps.find_traps\n"
+        "def find_traps(*args):\n"
+        "    pathlib.Path(sys.argv[1]).touch()\n"
+        "    return real(*args)\n"
+        "traps.find_traps = find_traps\n"
+        "sys.exit(ecoopinion.cli.main(sys.argv[2:]))\n"
+    )
+
     def _interrupt_sweep(self, tmp_path, when, interrupt):
         """Start a sweep in its own session, interrupt it while its pool
-        starts (when="pool-start") or 0.1 s later, during the map
-        (when="map"), and return its exit status and stderr once no process
-        of the session is left. A serial scan forks no worker, so there the
-        signal lands after a fixed 1 s."""
+        starts (when="pool-start"), 0.1 s later, during the map (when="map"),
+        or once its boundary bisection has begun (when="bisection"), and
+        return its exit status and stderr once no process of the session is
+        left. A serial scan forks no worker, so there the first two cases
+        signal after a fixed 1 s; with two CPUs, the bisection case checks
+        that the pool is still alive when it signals."""
         cfg = tmp_path / "hd.cfg"
         cfg.write_text(preset_text("hawk-dove"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(analysis.__file__)), os.environ.get("PYTHONPATH", "")]))
+        sweep = ["sweep", "--config", str(cfg), "--axis", "y0",
+                 "--out-csv", str(tmp_path / "sweep.csv")]
+        marker = tmp_path / "bisecting"
+        if when == "bisection":
+            # The preset's boundary, 0.48999, lies between cells 7 and 8, so
+            # the bisection starts with almost all of the scan still to run.
+            argv = ["-c", self.MARK_BISECTION, str(marker), *sweep, "--grid", "0.48:1:401"]
+        else:
+            argv = ["-m", "ecoopinion.cli", *sweep, "--grid", "0:1:401"]
         # Exec keeps an ignored SIGINT ignored (as in a background job of a
         # non-interactive shell) but resets a caught one, so the sweep starts
         # with the default Ctrl-C behaviour whatever this process inherited.
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "ecoopinion.cli", "sweep", "--config", str(cfg),
-                 "--axis", "y0", "--grid", "0:1:401", "--out-csv", str(tmp_path / "sweep.csv")],
-                env=env, start_new_session=True, stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True)
+                [sys.executable, *argv], env=env, start_new_session=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         finally:
             signal.signal(signal.SIGINT, handler)
         pgid = os.getpgid(proc.pid)
+        parallel = len(os.sched_getaffinity(0)) >= 2
         try:
-            if len(os.sched_getaffinity(0)) < 2:
+            if when == "bisection":
+                self._wait_for_file(proc, marker)
+                if parallel:
+                    self._wait_for_a_worker(proc, pgid)
+            elif not parallel:
                 time.sleep(1.0)  # start-up and fixed points take about 0.2 s
             else:
                 self._wait_for_a_worker(proc, pgid)
@@ -586,13 +652,13 @@ class TestParallelScan:
         assert not (tmp_path / "sweep.csv").exists()
         return proc.returncode, stderr
 
-    @pytest.mark.parametrize("when", ["pool-start", "map"])
+    @pytest.mark.parametrize("when", ["pool-start", "map", "bisection"])
     def test_interrupted_sweep_leaves_no_process(self, tmp_path, when):
         status, _ = self._interrupt_sweep(
             tmp_path, when, lambda proc, pgid: proc.send_signal(signal.SIGINT))
         assert status != 0
 
-    @pytest.mark.parametrize("when", ["pool-start", "map"])
+    @pytest.mark.parametrize("when", ["pool-start", "map", "bisection"])
     def test_ctrl_c_prints_one_traceback(self, tmp_path, when):
         # A terminal sends Ctrl-C to the whole process group, pool workers
         # included; only the parent may report it.
@@ -603,6 +669,8 @@ class TestParallelScan:
         assert sum(line.startswith("KeyboardInterrupt") for line in lines) == 1, stderr
         assert sum(line.startswith("Traceback") for line in lines) == 1, stderr
         assert "ForkPoolWorker" not in stderr
+        if when == "bisection":
+            assert ", in threshold_bisect\n" in stderr, stderr
 
 
 class TestThresholdBisect:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -9,7 +10,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ecoopinion import BlowupError, ConfigError, analysis, cli, load_config, svgchart
+from ecoopinion import (BlowupError, ConfigError, SystemState, UnresolvedCellError, analysis, cli,
+                        load_config, svgchart)
 from ecoopinion.cli import CSV_HEADER, SWEEP_CSV_HEADER, main
 from ecoopinion.integrate import Trajectory
 
@@ -248,6 +250,53 @@ class TestSweep:
         assert err.startswith("warning: boundary bisection failed: terminal state at y0=")
         assert "matches no known fixed point" in err
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_second_switch_discards_the_bisection(self, hd_cfg, tmp_path, monkeypatch, capsys,
+                                                  fails):
+        # A serial scan labels its cells A, B, A: the first switch is bisected
+        # as soon as its two cells are in; the second voids that outcome, a
+        # failure included, and is not bisected itself.
+        labels = {0.0: "A", 0.5: "B", 1.0: "A"}
+        monkeypatch.setattr(analysis, "_scan_workers", lambda cells: 1)
+        monkeypatch.setattr(analysis, "_basin_cell", lambda job: analysis.BasinCell(
+            job[0], SystemState(0.5, 0.5, job[0]), labels[job[0]], True, False))
+        calls = []
+
+        def bisect(scenario, axis, lo, hi, **kwargs):
+            calls.append((lo, hi, kwargs["endpoint_labels"]))
+            if fails:
+                raise UnresolvedCellError("no label at the midpoint")
+            return 0.25
+
+        monkeypatch.setattr(cli, "threshold_bisect", bisect)
+        json_path = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:3",
+                     "--out-csv", str(tmp_path / "sweep.csv"), "--out-json", str(json_path)])
+        assert code == 0
+        summary = json.loads(json_path.read_text())
+        assert summary["labels"] == ["A", "B", "A"] and summary["boundary"] is None
+        assert calls == [(0.0, 0.5, ("A", "B"))]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                        reason="a parallel scan needs Linux and two usable CPUs")
+    def test_bisection_runs_while_the_pool_scans(self, hd_cfg, tmp_path, monkeypatch):
+        real = cli.threshold_bisect
+        pool_alive = []
+
+        def spy(*args, **kwargs):
+            pool_alive.append(multiprocessing.active_children() != [])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "threshold_bisect", spy)
+        json_path = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0", "--grid", "0:1:21",
+                     "--out-csv", str(tmp_path / "sweep.csv"), "--out-json", str(json_path)])
+        assert code == 0
+        assert pool_alive == [True]
+        assert 0.45 < json.loads(json_path.read_text())["boundary"] < 0.5
+        assert multiprocessing.active_children() == []
+
     def test_single_cell(self, hd_cfg, tmp_path):
         csv_path = tmp_path / "one.csv"
         code = main(["sweep", "--config", str(hd_cfg), "--axis", "y0",
@@ -333,6 +382,20 @@ class TestFixedPoints:
                      "--out-json", str(json_path)]) == 0
         records = json.loads(json_path.read_text())
         assert any(r["state"]["n"] == 1.0 for r in records)
+
+
+    def test_overflowing_game_writes_strict_json(self, pd_cfg, tmp_path, capsys):
+        json_path = tmp_path / "fp.json"
+        big = "1e308, 1e308, -1e308, -1e308"
+        assert main(["fixed-points", "--config", str(pd_cfg), "--set", f"a0={big}",
+                     "--set", f"a1={big}", *[f"--set=b{k}=1" for k in (11, 12, 21, 22)],
+                     "--out-json", str(json_path)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        records = json.loads(json_path.read_text(), parse_constant=no_constant)
+        assert all(r["residual"] < analysis.RESIDUAL_TOL for r in records)
 
 
 class TestExitCodes:
