@@ -139,18 +139,31 @@ def _poly_deriv(p):
 
 
 def _poly_roots(p):
-    """Sorted real roots in [0, 1] of the polynomial p: bisection on each
-    stretch between roots of its derivative. A constant has none, the zero
-    polynomial included."""
+    """Sorted real roots in [0, 1] of the polynomial p, and of its derivative
+    (the cuts between which p is bisected, in _bisect_root's steps with
+    _poly_at inline). A constant has neither, the zero polynomial included."""
     if not any(p[1:]):
-        return []
-    cuts = [0.0, *_poly_roots(_poly_deriv(p)), 1.0]
+        return [], []
+    cuts = [0.0, *_poly_roots(_poly_deriv(p))[0], 1.0]
     roots = {t for t in cuts if _poly_at(p, t) == 0.0}
+    coeffs = p[::-1]
     for lo, hi in zip(cuts, cuts[1:]):
         vlo, vhi = _poly_at(p, lo), _poly_at(p, hi)
         if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
-            roots.add(_bisect_root(lambda t: _poly_at(p, t), lo, hi, vlo))
-    return sorted(roots)
+            for _ in range(80):
+                mid, vm = 0.5 * (lo + hi), 0.0
+                for c in coeffs:
+                    vm = vm * mid + c
+                if vm == 0.0:
+                    lo = hi = mid
+                elif (vm > 0.0) == (vlo > 0.0):
+                    lo, vlo = mid, vm
+                else:
+                    hi = mid
+                if hi - lo < 1e-15:
+                    break
+            roots.add(0.5 * (lo + hi))
+    return sorted(roots), cuts[1:-1]
 
 
 def _locator(p, q, protocol, trust):
@@ -183,7 +196,8 @@ def _scan_roots(h, locator, edges):
     """
     last = _SCAN_SAMPLES - 1
     step = 1.0 / last
-    marks = [0.0, 1.0, *edges, *_poly_roots(locator), *_poly_roots(_poly_deriv(locator))]
+    roots, crit = _poly_roots(locator)
+    marks = [0.0, 1.0, *edges, *roots, *crit]
     cells = set()
     for m in marks:
         k = int(m / step)  # the cell [k*step, (k+1)*step] holds m
@@ -236,6 +250,8 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     def env_factor(x):
         return theta * x + psi * (1.0 - x)
 
+    # Every y here is >= +0.0 (grid points, midpoints, 0.0, 1.0): the cache never mixes in -0.0.
+    @functools.cache
     def x_root_given_y(y):
         # Interior solution of u1 == u2 under the opinion-interpolated game
         # A_y, whose entries are the payoffs u1, u2 at x = 1 and x = 0.
@@ -265,7 +281,7 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
     den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
     rest = [d - u for d, u in zip(den, num)]
-    null_edges = (*_poly_roots(num), *_poly_roots(den), *_poly_roots(rest))
+    null_edges = (*_poly_roots(num)[0], *_poly_roots(den)[0], *_poly_roots(rest)[0])
     curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), null_edges)
                for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -381,6 +382,29 @@ class TestLocator:
         assert 0 < calls[0] <= 1000  # the dense scan made 10,158 and 8,775
 
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    @pytest.mark.parametrize("preset", ["hawk-dove", "prisoners-dilemma"])
+    def test_replicator_null_pair_once_per_y(self, monkeypatch, preset, mode):
+        # x_root_given_y reads A_y as f(1, 0, y) then f(0, 0, y); the curves
+        # at n = 0 and n = 1 and the candidate loop share that pair per y.
+        # (The faces x = 0 and x = 1 call f(0, 0, y) or f(1, 0, y) alone.)
+        args = []
+
+        def spying_make_rhs(*a):
+            f = make_rhs(*a)
+
+            def rhs(x, n, y):
+                args.append((x, n, y))
+                return f(x, n, y)
+            return rhs
+
+        monkeypatch.setattr("ecoopinion.scenario.make_rhs", spying_make_rhs)
+        find_fixed_points(dataclasses.replace(preset_scenario(preset), protocol_matrix_mode=mode))
+        pairs = collections.Counter(
+            a[2] for a, b in zip(args, args[1:])
+            if a[:2] == (1.0, 0.0) and b == (0.0, 0.0, a[2]))
+        assert pairs and max(pairs.values()) == 1, pairs.most_common(3)
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
     def test_locator_sign_is_the_sign_of_dy(self, monkeypatch, mode):
         # The locator writes q21 a second time; it must agree with make_rhs
         # wherever dy is clearly away from 0.
@@ -401,6 +425,83 @@ class TestLocator:
         for sc in fixed_point_corpus(seed=8084, count=100):
             find_fixed_points(dataclasses.replace(sc, protocol_matrix_mode=mode))
         assert checked[0] > 10_000
+
+
+def _reference_poly_roots(p):
+    """analysis._poly_roots as it was before it returned the critical points
+    and bisected with Horner inline: _bisect_root on _poly_at."""
+    if not any(p[1:]):
+        return []
+    cuts = [0.0, *_reference_poly_roots(analysis._poly_deriv(p)), 1.0]
+    roots = {t for t in cuts if analysis._poly_at(p, t) == 0.0}
+    for lo, hi in zip(cuts, cuts[1:]):
+        vlo, vhi = analysis._poly_at(p, lo), analysis._poly_at(p, hi)
+        if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
+            roots.add(analysis._bisect_root(lambda t: analysis._poly_at(p, t), lo, hi, vlo))
+    return sorted(roots)
+
+
+def _random_polys(seed, count):
+    """Seeded polynomials of degree 0-5 with zero, -0.0 and repeated
+    coefficients, some with roots at 0, at 1 and double roots inside."""
+    rng = random.Random(seed)
+
+    def coeff(prev):
+        r = rng.random()
+        if r < 0.1:
+            return 0.0
+        if r < 0.2:
+            return -0.0
+        if r < 0.3 and prev is not None:
+            return prev
+        if r < 0.4:
+            return float(rng.randint(-3, 3))
+        return rng.uniform(-10.0, 10.0)
+
+    for _ in range(count):
+        p = []
+        for _ in range(rng.randint(1, 6)):
+            p.append(coeff(p[-1] if p else None))
+        for _ in range(rng.randint(0, 2)):
+            r = rng.choice((0.0, 1.0, rng.random()))
+            factor = [-r, 1.0] if rng.random() < 0.5 else [r * r, -2.0 * r, 1.0]
+            if len(p) + len(factor) <= 7:  # degree at most 5
+                p = analysis._poly_mul(p, factor)
+        yield p
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+class TestPolyRoots:
+    def _check(self, polys):
+        for p in polys:
+            roots, crit = analysis._poly_roots(p)
+            assert _hex(roots) == _hex(_reference_poly_roots(p)), p
+            assert _hex(crit) == _hex(_reference_poly_roots(analysis._poly_deriv(p))), p
+
+    def test_corpus_polynomials_bit_identical(self, monkeypatch):
+        # Every locator, num/den/rest polynomial and derivative of them that
+        # find_fixed_points hands to _poly_roots on the corpus.
+        seen = {}
+        real = analysis._poly_roots
+
+        def recording(p):
+            seen.setdefault(tuple(v.hex() for v in p), list(p))
+            return real(p)
+
+        monkeypatch.setattr(analysis, "_poly_roots", recording)
+        for sc in fixed_point_corpus(8080):
+            find_fixed_points(sc)
+        monkeypatch.undo()
+        assert len(seen) > 1000
+        self._check(seen.values())
+
+    def test_random_polynomials_bit_identical(self):
+        polys = list(_random_polys(8086, 4000))
+        assert sum(1 for p in polys if analysis._poly_roots(p)[0]) > 1000
+        self._check(polys)
 
 
 class _CellFailure(RuntimeError):
