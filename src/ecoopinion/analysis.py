@@ -3,7 +3,6 @@ initial-condition axis, and basin-boundary bisection."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -17,7 +16,6 @@ RESIDUAL_TOL = 1e-10
 LABEL_RADIUS = 1e-3
 FAMILY_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-_SCAN_SAMPLES = 1001
 _ZERO_TOL = 1e-12
 _SNAP_TOL = 1e-9
 
@@ -103,21 +101,6 @@ def nearest_fixed_point(state: SystemState, records):
     return best, math.inf if best is None else distance_to(best, state)
 
 
-def _bisect_root(g, lo, hi, vlo):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        vm = g(mid)
-        if vm is None or vm == 0.0:
-            return mid
-        if (vm > 0.0) == (vlo > 0.0):
-            lo, vlo = mid, vm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
 # Polynomials in y are coefficient lists, lowest degree first.
 def _poly_at(p, t):
     value = 0.0
@@ -139,12 +122,12 @@ def _poly_deriv(p):
 
 
 def _poly_roots(p):
-    """Sorted real roots in [0, 1] of the polynomial p, and of its derivative
-    (the cuts between which p is bisected, in _bisect_root's steps with
-    _poly_at inline). A constant has neither, the zero polynomial included."""
+    """Sorted real roots in [0, 1] of the polynomial p, each sign change
+    between consecutive roots of its derivative bisected. A constant has
+    none, the zero polynomial included."""
     if not any(p[1:]):
-        return [], []
-    cuts = [0.0, *_poly_roots(_poly_deriv(p))[0], 1.0]
+        return []
+    cuts = [0.0, *_poly_roots(_poly_deriv(p)), 1.0]
     roots = {t for t in cuts if _poly_at(p, t) == 0.0}
     coeffs = p[::-1]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -163,7 +146,7 @@ def _poly_roots(p):
                 if hi - lo < 1e-15:
                     break
             roots.add(0.5 * (lo + hi))
-    return sorted(roots), cuts[1:-1]
+    return sorted(roots)
 
 
 def _locator(p, q, protocol, trust):
@@ -171,8 +154,8 @@ def _locator(p, q, protocol, trust):
     x = p/(p + q), times (p + q)**2, as a polynomial in y.
 
     p, q and the protocol matrix's entries (11, 12, 21, 22) are polynomials
-    in y. For 0 < y < 1, dy has the sign of q21, so wherever dy is not
-    near 0 its sign is the locator's."""
+    in y. For 0 < y < 1, the clamp keeps the sign of q21 in dy, so on the
+    curve dy = 0 exactly where the locator vanishes."""
     b11, b12, b21, b22 = trust.entries()
     d11, d12, d21, d22 = protocol
     # x*v1 and (1-x)*v2, each times (p + q)**2.
@@ -181,48 +164,6 @@ def _locator(p, q, protocol, trust):
     s1 = [b11 * r + b12 * s for r, s in zip(w1, w2)]
     s2 = [b21 * r + b22 * s for r, s in zip(w1, w2)]
     return [r + s - t for r, s, t in zip([0.0, *s1], [0.0, *s2], [*s2, 0.0])]
-
-
-def _scan_roots(h, locator, edges):
-    """Roots of h on [0, 1] as a dense scan reports them.
-
-    The scan samples h at _SCAN_SAMPLES evenly spaced points (h may return
-    None where undefined), collapses each run of near-zero samples to its
-    midpoint and bisects each sign change between neighbouring samples.
-    Here h is sampled only within two cells of both ends, of the locator's
-    roots and critical points, and of the edges (where h may become
-    undefined), since elsewhere h has the locator's sign; a near-zero run is
-    walked to its full extent.
-    """
-    last = _SCAN_SAMPLES - 1
-    step = 1.0 / last
-    roots, crit = _poly_roots(locator)
-    marks = [0.0, 1.0, *edges, *roots, *crit]
-    cells = set()
-    for m in marks:
-        k = int(m / step)  # the cell [k*step, (k+1)*step] holds m
-        cells.update(range(max(0, k - 2), min(last, k + 3) + 1))
-    val = functools.cache(lambda i: h(step * i))
-
-    def small(i):
-        v = val(i)
-        return v is not None and abs(v) <= _ZERO_TOL
-
-    roots = set()
-    end = -1
-    for i in sorted(cells):
-        if i > end and small(i):
-            start = end = i
-            while start > 0 and small(start - 1):
-                start -= 1
-            while end < last and small(end + 1):
-                end += 1
-            roots.add(0.5 * (step * start + step * end))
-        if i + 1 in cells and not (small(i) or small(i + 1)):
-            va, vb = val(i), val(i + 1)
-            if va is not None and vb is not None and (va > 0.0) != (vb > 0.0):
-                roots.add(_bisect_root(h, step * i, step * (i + 1), va))
-    return roots
 
 
 def _snap01(value: float) -> float:
@@ -240,9 +181,11 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     or at the replicator-indifference root given y; n on a boundary, or
     anywhere once the environment drift factor theta*x + psi*(1-x) vanishes
     (then representative n samples are emitted and flagged family="n"); y on
-    a boundary, at a scanned imitation-balance root, or at the opinion weight
-    that nulls the replicator bracket. Every candidate is kept only if the
-    sup norm of the full derivative is below RESIDUAL_TOL.
+    a boundary, at a root of the curve's imitation-balance locator (one
+    sample per piece of a curve along which the locator vanishes
+    identically), or at the opinion weight that nulls the replicator
+    bracket. Every candidate is kept only if the sup norm of the full
+    derivative is below RESIDUAL_TOL.
     """
     f = scenario.rhs()
     theta, psi = scenario.env.theta, scenario.env.psi
@@ -250,8 +193,6 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     def env_factor(x):
         return theta * x + psi * (1.0 - x)
 
-    # Every y here is >= +0.0 (grid points, midpoints, 0.0, 1.0): the cache never mixes in -0.0.
-    @functools.cache
     def x_root_given_y(y):
         # Interior solution of u1 == u2 under the opinion-interpolated game
         # A_y, whose entries are the payoffs u1, u2 at x = 1 and x = 0.
@@ -265,10 +206,10 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
 
     # Each curve gives x as a function of y at fixed n: the faces x = 0 and
     # x = 1 (n sampled when the environment factor vanishes there, psi == 0 at
-    # x = 0), then the replicator null on the faces n = 0 and n = 1. The
-    # opinion line is scanned along each curve, at the cells its locator
-    # picks. A_y's entries are polynomials in y; the replicator null is
-    # x = num/den, and it leaves (0, 1) where num, den or den - num vanishes.
+    # x = 0), then the replicator null on the faces n = 0 and n = 1. Each
+    # curve's y candidates are 0, 1 and its locator's roots. A_y's entries
+    # are polynomials in y; the replicator null is x = num/den, and it leaves
+    # (0, 1) where num, den or den - num vanishes.
     a_y = [[a, b - a] for a, b in zip(scenario.pair.a0.entries(), scenario.pair.a1.entries())]
 
     def protocol(n):
@@ -281,16 +222,18 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
     den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
     rest = [d - u for d, u in zip(den, num)]
-    null_edges = (*_poly_roots(num)[0], *_poly_roots(den)[0], *_poly_roots(rest)[0])
+    null_edges = (*_poly_roots(num), *_poly_roots(den), *_poly_roots(rest))
     curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), null_edges)
                for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []
     for x_of_y, n, locator, edges in curves:
-        def h(y, x_of_y=x_of_y, n=n):
-            x = x_of_y(y)
-            return None if x is None else f(x, n, y)[2]
-
-        for y in sorted({0.0, 1.0} | _scan_roots(h, locator, edges)):
+        if any(locator):
+            ys = _poly_roots(locator)
+        else:
+            # dy vanishes all along the curve: one sample per piece of it.
+            cuts = sorted({0.0, 1.0, *edges})
+            ys = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        for y in sorted({0.0, 1.0, *ys}):
             x = x_of_y(y)
             if x is not None:
                 candidates.append((x, n, y))

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import math
@@ -196,7 +195,7 @@ def fixed_point_corpus(seed=8080, count=150):
 class TestFixedPointBits:
     # sha256 over fixed_point_corpus() of every record's float.hex() fields,
     # kind and family; the golden files pin only the two presets.
-    DIGEST = "c9b27c7dee36b3c6215710c45c45bd46adbf6024d0e9f7b31e4f2c5d006cdf33"
+    DIGEST = "f272d3a9191d62b8732bb253ba92ae1c525dfbcaaca894c2a02ee3071c3501a6"
 
     def test_records_bit_identical(self):
         digest = hashlib.sha256()
@@ -291,12 +290,34 @@ def _map_bits(basin):
     return basin.axis, tuple(g.hex() for g in basin.grid), [_cell_bits(c) for c in basin.cells]
 
 
-def _dense_scan_roots(h, locator, edges):
-    """The reference for analysis._scan_roots, a dense scan: h at every grid
-    point, each run of near-zero samples collapsed to its midpoint and each
-    sign change between neighbouring samples bisected. The locator and edges
-    are not read."""
-    samples, zero_tol = analysis._SCAN_SAMPLES, analysis._ZERO_TOL
+def _bisect_root(g, lo, hi, vlo):
+    """Bisect g on [lo, hi], where g(lo) = vlo, down to 1e-15 or 80 halvings;
+    an undefined (None) or zero value ends it there."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        vm = g(mid)
+        if vm is None or vm == 0.0:
+            return mid
+        if (vm > 0.0) == (vlo > 0.0):
+            lo, vlo = mid, vm
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+# The dense scan that find_fixed_points used before it took the locator's
+# roots: dy at this many evenly spaced y, and its near-zero threshold.
+_SCAN_SAMPLES = 1001
+_SCAN_ZERO_TOL = 1e-12
+
+
+def _dense_scan_roots(h):
+    """Roots of h on [0, 1] as the dense scan reports them: h at every grid
+    point (None where undefined), each run of near-zero samples collapsed to
+    its midpoint and each sign change between neighbouring samples bisected."""
+    samples, zero_tol = _SCAN_SAMPLES, _SCAN_ZERO_TOL
     step = (1.0 - 0.0) / (samples - 1)
     pts = [0.0 + step * i for i in range(samples)]
     vals = [h(p) for p in pts]
@@ -317,52 +338,88 @@ def _dense_scan_roots(h, locator, edges):
         if va is None or vb is None or abs(va) <= zero_tol or abs(vb) <= zero_tol:
             continue
         if (va > 0.0) != (vb > 0.0):
-            roots.add(analysis._bisect_root(h, pts[i], pts[i + 1], va))
+            roots.add(_bisect_root(h, pts[i], pts[i + 1], va))
     return roots
 
 
-def _record_bits(records):
-    return [(r.state.x.hex(), r.state.n.hex(), r.state.y.hex(), r.residual.hex(), r.kind, r.family)
-            for r in records]
+def _curves(scenario):
+    """(x(y), n) of each curve find_fixed_points searches in y, in its order:
+    the faces x = 0 and x = 1 (n sampled where the environment factor
+    vanishes), then the replicator null u1 = u2 on n = 0 and n = 1, where
+    x(y) is None outside (0, 1)."""
+    f = scenario.rhs()
+    theta, psi = scenario.env.theta, scenario.env.psi
+
+    def x_null(y):
+        _, _, _, m11, m21, _, _ = f(1.0, 0.0, y)
+        _, _, _, m12, m22, _, _ = f(0.0, 0.0, y)
+        den = m11 - m12 - m21 + m22
+        if abs(den) < 1e-12:
+            return None
+        root = (m22 - m12) / den
+        return root if 0.0 < root < 1.0 else None
+
+    faces = [(lambda y, x=x: x, n) for x in (0.0, 1.0)
+             for n in (analysis.FAMILY_SAMPLES
+                       if abs(theta * x + psi * (1.0 - x)) <= analysis._ZERO_TOL else (0.0, 1.0))]
+    return faces + [(x_null, 0.0), (x_null, 1.0)]
+
+
+def _dense_scan_records(scenario):
+    """The (x, n, y) that the dense scan of dy along each curve, plus y in
+    {0, 1}, gives and that pass find_fixed_points' snap and residual check."""
+    f = scenario.rhs()
+    points = []
+    for x_of_y, n in _curves(scenario):
+        def h(y):
+            x = x_of_y(y)
+            return None if x is None else f(x, n, y)[2]
+
+        for y in sorted({0.0, 1.0} | _dense_scan_roots(h)):
+            x = x_of_y(y)
+            if x is None:
+                continue
+            point = tuple(analysis._snap01(v) for v in (x, n, y))
+            if max(abs(d) for d in f(*point)[:3]) < analysis.RESIDUAL_TOL:
+                points.append(point)
+    return points
 
 
 def _sign(v):
     return (v > 0.0) - (v < 0.0)
 
 
-# (h, locator, edges) that analysis._scan_roots must handle as the dense scan
-# does; the tangent touches -1e-14 at a grid point, without a root.
-_R = 0.3 + 1e-8
-_SCANS = {
-    "crossing": (lambda y: y - 0.3004, [-0.3004, 1.0], ()),
-    "locator 1.5 cells off": (lambda y: y - 0.3, [-0.3015, 1.0], ()),
-    "tangent without crossing": (lambda y: -(y - _R) ** 2 - 1e-14,
-                                 [-_R * _R - 1e-14, 2.0 * _R, -1.0], ()),
-    "wide near-zero run": (lambda y: 1e-11 * (y - 0.5), [-0.5, 1.0], ()),
-    "two roots in one cell": (lambda y: (y - 0.30011) * (y - 0.30012),
-                              [0.30011 * 0.30012, -0.60023, 1.0], ()),
-    "undefined, then a root": (lambda y: None if y < 0.6 else y - 0.7, [-0.7, 1.0], ()),
-    "locator wrong at an edge": (lambda y: None if y < 0.6 else y - 0.6005, [1.0], (0.6,)),
-    "identically zero": (lambda y: 0.0, [0.0], ()),
-    "root at an end": (lambda y: 2.0 * y, [0.0, 2.0], ()),
-}
-
-
 class TestLocator:
-    def test_records_equal_dense_scan(self, monkeypatch):
+    def test_records_contain_dense_scan(self):
         # Both protocol modes, zero and unit trust, psi = +-0.0, shared and
         # signed-zero game entries; a corpus the digest above does not pin.
         corpus = list(fixed_point_corpus(seed=8081, count=200))
-        located = [_record_bits(find_fixed_points(sc)) for sc in corpus]
-        monkeypatch.setattr(analysis, "_scan_roots", _dense_scan_roots)
-        assert located == [_record_bits(find_fixed_points(sc)) for sc in corpus]
+        lost = []
+        for k, sc in enumerate(corpus):
+            records = find_fixed_points(sc)
+            lost += [(k, p) for p in _dense_scan_records(sc) if not has_point(records, *p, 1e-12)]
+        # A grid sample on the replicator null at n = 1, along which the
+        # locator vanishes identically: the record is its piece's midpoint.
+        assert lost == [(198, (0.4200945742924907, 1.0, 0.7070000000000001))]
+        assert has_point(find_fixed_points(corpus[198]), 0.4198037639692485, 1.0,
+                         0.7071747935747477, 0.0)
 
-    @pytest.mark.parametrize("case", sorted(_SCANS))
-    def test_scan_roots_equal_dense_scan(self, case):
-        h, locator, edges = _SCANS[case]
-        roots = analysis._scan_roots(h, locator, edges)
-        assert roots == _dense_scan_roots(h, locator, edges)
-        assert (len(roots) == 0) == (case == "two roots in one cell")
+    @pytest.mark.parametrize("index, x, y, tangential", [
+        # x(y) stays inside (0, 1) on a window narrower than the grid spacing.
+        (18, 0.2315887610922576, 0.37321457899850974, False),
+        # The locator has a double root: dy keeps its sign on both sides.
+        (87, 5.373405160046772e-07, 0.8292891791847614, True),
+    ], ids=["between grid samples", "tangential"])
+    def test_root_the_dense_scan_misses(self, index, x, y, tangential):
+        scenario = list(fixed_point_corpus(8080))[index]
+        f = scenario.rhs()
+        records = find_fixed_points(scenario)
+        dense = _dense_scan_records(scenario)
+        for n in (0.0, 1.0):
+            assert has_point(records, x, n, y, 1e-12)
+            assert all(max(abs(p[0] - x), abs(p[1] - n), abs(p[2] - y)) > 1e-6 for p in dense)
+            sides = _sign(f(x, n, y - 1e-6)[2]), _sign(f(x, n, y + 1e-6)[2])
+            assert (sides[0] == sides[1] != 0) == tangential, sides
 
     @pytest.mark.parametrize("preset", ["hawk-dove", "prisoners-dilemma"])
     def test_kernel_calls_per_preset(self, monkeypatch, preset):
@@ -379,57 +436,48 @@ class TestLocator:
         monkeypatch.setattr("ecoopinion.scenario.make_rhs", counting_make_rhs)
         records = find_fixed_points(preset_scenario(preset))
         assert records
-        assert 0 < calls[0] <= 1000  # the dense scan made 10,158 and 8,775
-
-    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
-    @pytest.mark.parametrize("preset", ["hawk-dove", "prisoners-dilemma"])
-    def test_replicator_null_pair_once_per_y(self, monkeypatch, preset, mode):
-        # x_root_given_y reads A_y as f(1, 0, y) then f(0, 0, y); the curves
-        # at n = 0 and n = 1 and the candidate loop share that pair per y.
-        # (The faces x = 0 and x = 1 call f(0, 0, y) or f(1, 0, y) alone.)
-        args = []
-
-        def spying_make_rhs(*a):
-            f = make_rhs(*a)
-
-            def rhs(x, n, y):
-                args.append((x, n, y))
-                return f(x, n, y)
-            return rhs
-
-        monkeypatch.setattr("ecoopinion.scenario.make_rhs", spying_make_rhs)
-        find_fixed_points(dataclasses.replace(preset_scenario(preset), protocol_matrix_mode=mode))
-        pairs = collections.Counter(
-            a[2] for a, b in zip(args, args[1:])
-            if a[:2] == (1.0, 0.0) and b == (0.0, 0.0, a[2]))
-        assert pairs and max(pairs.values()) == 1, pairs.most_common(3)
+        assert 0 < calls[0] <= 30  # 28 and 29; the dense scan made 10,158 and 8,775
 
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
     def test_locator_sign_is_the_sign_of_dy(self, monkeypatch, mode):
         # The locator writes q21 a second time; it must agree with make_rhs
-        # wherever dy is clearly away from 0.
+        # wherever dy is clearly away from 0. Its curve x = p/(p + q) must
+        # be the one find_fixed_points pairs it with.
         rng = random.Random(8083)
-        checked = [0]
-        real = analysis._scan_roots
+        checked = 0
+        built = []
+        real = analysis._locator
 
-        def check_signs(h, locator, edges):
-            for _ in range(40):
-                y = rng.uniform(1e-6, 1.0 - 1e-6)
-                dy = h(y)  # make_rhs's dy on this curve
-                if dy is not None and abs(dy) > 1e-9:
-                    assert _sign(analysis._poly_at(locator, y)) == _sign(dy), (locator, y, dy)
-                    checked[0] += 1
-            return real(h, locator, edges)
+        def recording(p, q, protocol, trust):
+            built.append((p, q, real(p, q, protocol, trust)))
+            return built[-1][2]
 
-        monkeypatch.setattr(analysis, "_scan_roots", check_signs)
+        monkeypatch.setattr(analysis, "_locator", recording)
         for sc in fixed_point_corpus(seed=8084, count=100):
-            find_fixed_points(dataclasses.replace(sc, protocol_matrix_mode=mode))
-        assert checked[0] > 10_000
+            sc = dataclasses.replace(sc, protocol_matrix_mode=mode)
+            built.clear()
+            find_fixed_points(sc)
+            curves = _curves(sc)
+            assert len(built) == len(curves)
+            f = sc.rhs()
+            for (x_of_y, n), (p, q, locator) in zip(curves, built):
+                for _ in range(40):
+                    y = rng.uniform(1e-6, 1.0 - 1e-6)
+                    x = x_of_y(y)
+                    if x is None:
+                        continue
+                    pv, qv = analysis._poly_at(p, y), analysis._poly_at(q, y)
+                    assert math.isclose(pv / (pv + qv), x, rel_tol=1e-9, abs_tol=1e-12)
+                    dy = f(x, n, y)[2]
+                    if abs(dy) > 1e-9:
+                        assert _sign(analysis._poly_at(locator, y)) == _sign(dy), (locator, y, dy)
+                        checked += 1
+        assert checked > 10_000
 
 
 def _reference_poly_roots(p):
-    """analysis._poly_roots as it was before it returned the critical points
-    and bisected with Horner inline: _bisect_root on _poly_at."""
+    """analysis._poly_roots as it was before it bisected with Horner inline:
+    _bisect_root on _poly_at."""
     if not any(p[1:]):
         return []
     cuts = [0.0, *_reference_poly_roots(analysis._poly_deriv(p)), 1.0]
@@ -437,7 +485,7 @@ def _reference_poly_roots(p):
     for lo, hi in zip(cuts, cuts[1:]):
         vlo, vhi = analysis._poly_at(p, lo), analysis._poly_at(p, hi)
         if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
-            roots.add(analysis._bisect_root(lambda t: analysis._poly_at(p, t), lo, hi, vlo))
+            roots.add(_bisect_root(lambda t: analysis._poly_at(p, t), lo, hi, vlo))
     return sorted(roots)
 
 
@@ -477,9 +525,7 @@ def _hex(values):
 class TestPolyRoots:
     def _check(self, polys):
         for p in polys:
-            roots, crit = analysis._poly_roots(p)
-            assert _hex(roots) == _hex(_reference_poly_roots(p)), p
-            assert _hex(crit) == _hex(_reference_poly_roots(analysis._poly_deriv(p))), p
+            assert _hex(analysis._poly_roots(p)) == _hex(_reference_poly_roots(p)), p
 
     def test_corpus_polynomials_bit_identical(self, monkeypatch):
         # Every locator, num/den/rest polynomial and derivative of them that
@@ -500,7 +546,7 @@ class TestPolyRoots:
 
     def test_random_polynomials_bit_identical(self):
         polys = list(_random_polys(8086, 4000))
-        assert sum(1 for p in polys if analysis._poly_roots(p)[0]) > 1000
+        assert sum(1 for p in polys if analysis._poly_roots(p)) > 1000
         self._check(polys)
 
 
