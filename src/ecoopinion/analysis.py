@@ -129,18 +129,20 @@ def _poly_roots(p):
         return []
     cuts = [0.0, *_poly_roots(_poly_deriv(p)), 1.0]
     roots = {t for t in cuts if _poly_at(p, t) == 0.0}
-    coeffs = p[::-1]
+    lead, *tail = p[::-1]
     for lo, hi in zip(cuts, cuts[1:]):
         vlo, vhi = _poly_at(p, lo), _poly_at(p, hi)
         if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
+            rising = vlo < 0.0
             for _ in range(80):
-                mid, vm = 0.5 * (lo + hi), 0.0
-                for c in coeffs:
+                mid = 0.5 * (lo + hi)
+                vm = lead  # not 0.0 * mid + lead: only a zero's sign differs
+                for c in tail:
                     vm = vm * mid + c
                 if vm == 0.0:
                     lo = hi = mid
-                elif (vm > 0.0) == (vlo > 0.0):
-                    lo, vlo = mid, vm
+                elif (vm < 0.0) == rising:
+                    lo = mid
                 else:
                     hi = mid
                 if hi - lo < 1e-15:
@@ -185,7 +187,9 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     sample per piece of a curve along which the locator vanishes
     identically), or at the opinion weight that nulls the replicator
     bracket. Every candidate is kept only if the sup norm of the full
-    derivative is below RESIDUAL_TOL.
+    derivative is below RESIDUAL_TOL. Equal locators are searched once per
+    call, and the replicator null's edges only for a curve along which the
+    locator vanishes identically (dy == 0).
     """
     f = scenario.rhs()
     theta, psi = scenario.env.theta, scenario.env.psi
@@ -209,7 +213,16 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     # x = 0), then the replicator null on the faces n = 0 and n = 1. Each
     # curve's y candidates are 0, 1 and its locator's roots. A_y's entries
     # are polynomials in y; the replicator null is x = num/den, and it leaves
-    # (0, 1) where num, den or den - num vanishes.
+    # (0, 1) where num, den or den - num vanishes. Curves share polynomials
+    # (in opinion mode the locator does not depend on n): search each once.
+    found: dict[tuple[float, ...], list[float]] = {}
+
+    def roots(p):
+        key = tuple(p)  # +0.0 == -0.0, which changes no root
+        if key not in found:
+            found[key] = _poly_roots(p)
+        return found[key]
+
     a_y = [[a, b - a] for a, b in zip(scenario.pair.a0.entries(), scenario.pair.a1.entries())]
 
     def protocol(n):
@@ -222,16 +235,15 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
     den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
     rest = [d - u for d, u in zip(den, num)]
-    null_edges = (*_poly_roots(num), *_poly_roots(den), *_poly_roots(rest))
-    curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), null_edges)
+    curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), (num, den, rest))
                for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []
     for x_of_y, n, locator, edges in curves:
         if any(locator):
-            ys = _poly_roots(locator)
+            ys = roots(locator)
         else:
             # dy vanishes all along the curve: one sample per piece of it.
-            cuts = sorted({0.0, 1.0, *edges})
+            cuts = sorted({0.0, 1.0, *(t for e in edges for t in roots(e))})
             ys = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
         for y in sorted({0.0, 1.0, *ys}):
             x = x_of_y(y)
@@ -260,8 +272,8 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     kept: list[tuple[float, float, float]] = []
     for cx, cn, cy in candidates:
         cx, cn, cy = _snap01(cx), _snap01(cn), _snap01(cy)
-        if any(max(abs(cx - px), abs(cn - pn), abs(cy - py)) < _SNAP_TOL
-               for px, pn, py in kept):
+        if any(abs(cx - px) < _SNAP_TOL and abs(cn - pn) < _SNAP_TOL
+               and abs(cy - py) < _SNAP_TOL for px, pn, py in kept):
             continue
         d = f(cx, cn, cy)
         residual = max(abs(d[0]), abs(d[1]), abs(d[2]))

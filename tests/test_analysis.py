@@ -438,6 +438,57 @@ class TestLocator:
         assert records
         assert 0 < calls[0] <= 30  # 28 and 29; the dense scan made 10,158 and 8,775
 
+    def test_each_polynomial_searched_once(self, monkeypatch):
+        # One find_fixed_points call searches each distinct polynomial once
+        # (in opinion mode the protocol matrix does not depend on n, so
+        # curves share locators), and the replicator null's edges num, den
+        # and den - num only when a null curve's locator is identically zero.
+        real_roots, real_locator = analysis._poly_roots, analysis._locator
+        depth, searched, locators = [0], [], []
+
+        def spying(p):
+            if not depth[0]:  # not _poly_roots' own recursion
+                searched.append(tuple(p))
+            depth[0] += 1
+            try:
+                return real_roots(p)
+            finally:
+                depth[0] -= 1
+
+        def recording(p, q, protocol, trust):
+            locators.append(tuple(real_locator(p, q, protocol, trust)))
+            return list(locators[-1])
+
+        monkeypatch.setattr(analysis, "_poly_roots", spying)
+        monkeypatch.setattr(analysis, "_locator", recording)
+
+        def searches(sc):
+            searched.clear()
+            locators.clear()
+            find_fixed_points(sc)
+            return list(searched)
+
+        null_zero_calls = 0
+        for sc in fixed_point_corpus():
+            found = searches(sc)
+            assert len(set(found)) == len(found), found
+            allowed = {p for p in locators if any(p)}
+            if not all(any(p) for p in locators[-2:]):
+                a_y = [[a, b - a] for a, b in zip(sc.pair.a0.entries(), sc.pair.a1.entries())]
+                num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
+                den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
+                edges = {tuple(num), tuple(den), tuple(d - u for d, u in zip(den, num))}
+                assert edges <= set(found)
+                allowed |= edges
+                null_zero_calls += 1
+            assert set(found) <= allowed
+        assert null_zero_calls > 0
+        counts = {(preset, mode): len(searches(dataclasses.replace(
+                      preset_scenario(preset), protocol_matrix_mode=mode)))
+                  for preset in ("hawk-dove", "prisoners-dilemma") for mode in PROTOCOL_MODES}
+        assert counts == {("hawk-dove", "env"): 6, ("hawk-dove", "opinion"): 3,
+                          ("prisoners-dilemma", "env"): 6, ("prisoners-dilemma", "opinion"): 3}
+
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
     def test_locator_sign_is_the_sign_of_dy(self, monkeypatch, mode):
         # The locator writes q21 a second time; it must agree with make_rhs
@@ -518,6 +569,22 @@ def _random_polys(seed, count):
         yield p
 
 
+def _edge_polys():
+    """Polynomials whose leading coefficient is 0.0 or -0.0, and polynomials
+    with dyadic roots (0.5, 0.25, 0.375), which a bisection midpoint can hit
+    exactly, in both signs and with a signed-zero leading coefficient."""
+    dyadic = [[-0.5, 1.0], [-0.25, 1.0], [-0.375, 1.0], [0.0, 1.0]]
+    products = [analysis._poly_mul(p, q) for i, p in enumerate(dyadic) for q in dyadic[i:]]
+    products += [analysis._poly_mul(p, q) for p in products for q in dyadic[:3]]
+    for p in [*dyadic, *products, *_random_polys(8087, 200)]:
+        for scale in (1.0, -3.0):
+            q = [scale * c for c in p]
+            yield q
+            yield [*q, 0.0]
+            yield [*q, -0.0]
+            yield [*q, -0.0, 0.0]
+
+
 def _hex(values):
     return [v.hex() for v in values]
 
@@ -547,7 +614,9 @@ class TestPolyRoots:
     def test_random_polynomials_bit_identical(self):
         polys = list(_random_polys(8086, 4000))
         assert sum(1 for p in polys if analysis._poly_roots(p)) > 1000
-        self._check(polys)
+        edge = list(_edge_polys())
+        assert {0.25, 0.375, 0.5} <= {t for p in edge for t in analysis._poly_roots(p)}
+        self._check(polys + edge)
 
 
 class _CellFailure(RuntimeError):
@@ -1014,6 +1083,26 @@ class TestStability:
                 assert values[-1].imag != pytest.approx(0.0, abs=1e-3)
         assert sum(r.kind == "mixed" for r in records) == 2
         assert find_traps(prisoners, records) == []
+
+    def test_corner_jacobian_is_lower_triangular_in_closed_form(self):
+        # At a corner the x and n rows are diagonal, so the eigenvalues are
+        # (1 - 2x)(u1 - u2), (1 - 2n)(theta x + psi (1 - x)) and d(dy)/dy,
+        # exactly as the AD Jacobian gives them.
+        presets = [preset_scenario(p) for p in ("hawk-dove", "prisoners-dilemma")]
+        checked = 0
+        for sc in [*presets, *fixed_point_corpus(8080)]:
+            f = sc.rhs()
+            theta, psi = sc.env.theta, sc.env.psi
+            for x in (0.0, 1.0):
+                for n in (0.0, 1.0):
+                    for y in (0.0, 1.0):
+                        (jxx, jxn, jxy), (jnx, jnn, jny), _ = _jacobian(f, (x, n, y))
+                        _, _, _, u1, u2, _, _ = f(x, n, y)
+                        assert (jxn, jxy, jnx, jny) == (0.0, 0.0, 0.0, 0.0), (sc, x, n, y)
+                        assert jxx == (1.0 - 2.0 * x) * (u1 - u2), (sc, x, n, y)
+                        assert jnn == (1.0 - 2.0 * n) * (theta * x + psi * (1.0 - x))
+                        checked += 1
+        assert checked == 1216
 
 
 def _start_in_trap(rng, scenario, trap, v_max):

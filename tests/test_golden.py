@@ -21,6 +21,8 @@ CASES = [
     *[(f"simulate-{p}", "simulate", p, ["--set", "record_every=100"],
        ("csv", "json", "svg"), 0) for p in PRESETS],
     *[(f"fixed-points-{p}", "fixed-points", p, [], ("json",), 0) for p in PRESETS],
+    *[(f"fixed-points-{p}-opinion", "fixed-points", p, ["--set", "protocol_matrix_mode=opinion"],
+       ("json",), 0) for p in PRESETS],
     ("sweep-hawk-dove", "sweep", "hawk-dove", ["--axis", "y0", "--grid", "0:1:21"],
      ("csv", "json"), 0),
     ("blowup-hawk-dove", "simulate", "hawk-dove", ["--set", "dt=100", "--set", "t_max=1000"],
