@@ -214,7 +214,8 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     # curve's y candidates are 0, 1 and its locator's roots. A_y's entries
     # are polynomials in y; the replicator null is x = num/den, and it leaves
     # (0, 1) where num, den or den - num vanishes. Curves share polynomials
-    # (in opinion mode the locator does not depend on n): search each once.
+    # (in opinion mode the protocol matrix does not depend on n): build each
+    # curve's locator once per protocol matrix, and search each polynomial once.
     found: dict[tuple[float, ...], list[float]] = {}
 
     def roots(p):
@@ -224,18 +225,23 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
         return found[key]
 
     a_y = [[a, b - a] for a, b in zip(scenario.pair.a0.entries(), scenario.pair.a1.entries())]
+    opinion = scenario.protocol_matrix_mode == "opinion"
+    built: dict[tuple, list[float]] = {}
 
-    def protocol(n):
-        return a_y if scenario.protocol_matrix_mode == "opinion" else [[a + n * g] for a, g in a_y]
+    def shared_locator(p, q, n):
+        key = (tuple(p), None if opinion else n)  # p tells the curves apart
+        if key not in built:
+            matrix = a_y if opinion else [[a + n * g] for a, g in a_y]
+            built[key] = _locator(p, q, matrix, scenario.trust)
+        return built[key]
 
-    trust = scenario.trust
-    curves = [(lambda y, x=x: x, n, _locator([x], [1.0 - x], protocol(n), trust), ())
+    curves = [(lambda y, x=x: x, n, shared_locator([x], [1.0 - x], n), ())
               for x in (0.0, 1.0)
               for n in (FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0))]
     num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
     den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
     rest = [d - u for d, u in zip(den, num)]
-    curves += [(x_root_given_y, n, _locator(num, rest, protocol(n), trust), (num, den, rest))
+    curves += [(x_root_given_y, n, shared_locator(num, rest, n), (num, den, rest))
                for n in (0.0, 1.0)]
     candidates: list[tuple[float, float, float]] = []
     for x_of_y, n, locator, edges in curves:

@@ -13,6 +13,8 @@ the environment-interpolated game A_n by default ("env" mode) or on A_y
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .game import FieldError, GamePair, Payoff2x2, finite_fields
@@ -84,6 +86,63 @@ class EnvParams:
             raise FieldError("psi", f"psi must be nonpositive, got {self.psi!r}")
 
 
+def _kernel_source(shape) -> str:
+    """Source of a function that binds make_rhs's 14 constants and returns
+    the evaluator of one shape: the four flags a0ij == a1ij and the protocol
+    mode. The equations are listed once, in evaluation order; where both
+    games agree on an entry the shared entry is read directly, which keeps
+    interpolation exact, and a temporary read once is written into its
+    reader. Inlining changes no operation, operand order or grouping."""
+    *shared, mode = shape
+
+    def blend(w, ij, same):
+        return f"a0{ij}" if same else f"{w} * a1{ij} + {w}c * a0{ij}"
+
+    entries = ("11", "12", "21", "22")
+    steps = [("xc", "1.0 - x"), ("nc", "1.0 - n"), ("yc", "1.0 - y")]
+    steps += [(f"c{ij}", blend("y", ij, same)) for ij, same in zip(entries, shared)]
+    steps += [("u1", "c11 * x + c12 * xc"), ("u2", "c21 * x + c22 * xc"),
+              ("dx", "x * xc * (u1 - u2)"), ("dn", "n * nc * (theta * x + psi * xc)")]
+    v1, v2 = "u1", "u2"
+    if mode == "env":
+        steps += [(f"d{ij}", blend("n", ij, same)) for ij, same in zip(entries, shared)]
+        steps += [("v1", "d11 * x + d12 * xc"), ("v2", "d21 * x + d22 * xc")]
+        v1, v2 = "v1", "v2"
+    steps += [("xv1", f"x * {v1}"), ("xcv2", f"xc * {v2}"),
+              ("s1", "xv1 * b11 + xcv2 * b12"), ("s2", "xv1 * b21 + xcv2 * b22"),
+              ("ys1", "y * s1"), ("ys2", "yc * s2"),
+              # Not -q21: equal terms must give +0.0 in both rates.
+              ("q21", "ys1 - ys2"), ("q12", "ys2 - ys1"),
+              ("p21", "0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)"),
+              ("p12", "0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)"),
+              ("dy", "yc * p21 - y * p12")]
+    result = "dx, dn, dy, u1, u2, p12, p21"
+    name = re.compile(r"[a-z_]\w*")
+    reads = Counter(name.findall(" ".join(expr for _, expr in steps) + " " + result))
+    inline: dict[str, str] = {}
+
+    def substitute(expr):
+        return name.sub(lambda m: inline.get(m[0], m[0]), expr)
+
+    lines = []
+    for target, expr in steps:
+        expr = substitute(expr)
+        if reads[target] == 1:
+            inline[target] = expr if expr.isidentifier() else f"({expr})"
+        else:
+            lines.append(f"        {target} = {expr}")
+    pins = "".join(f"        if {c} < 0.0:\n            {c} = 0.0\n"
+                   f"        elif {c} > 1.0:\n            {c} = 1.0\n" for c in "xny")
+    return ("def bind(a011, a012, a021, a022, a111, a112, a121, a122,\n"
+            "         theta, psi, b11, b12, b21, b22):\n"
+            "    def rhs(x, n, y):\n" + pins + "\n".join(lines)
+            + f"\n        return {substitute(result)}\n    return rhs\n")
+
+
+# One compiled binder per shape (at most 32), shared by every make_rhs call.
+_KERNELS: dict[tuple, object] = {}
+
+
 def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
              protocol_matrix_mode: str = "env"):
     """Compile the coupled system into a plain-float evaluator.
@@ -92,9 +151,15 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
     derivative plus the strategy payoffs under the replicator matrix A_y and
     the two protocol rates, each clamped to [0, 1]. Coordinates are pinned
     to [0, 1] before evaluation. This is the only place the model equations
-    are written: the integrator, the analysis scans and the single-line views
-    below all evaluate it, and ecoopinion.traps differentiates it on dual
-    numbers (it uses only +, - and *, and compares with < and >).
+    are written (listed in _kernel_source): the integrator, the analysis
+    scans and the single-line views below all evaluate f, and
+    ecoopinion.traps differentiates it on dual numbers (it uses only +, -
+    and *, and compares with < and >).
+
+    f's source is generated once per shape, that is which payoff entries the
+    two games share and the protocol mode (at most 32 shapes), and compiled
+    once per process. Each call binds the scenario's 14 constants in a
+    closure around that shared code, so f takes only (x, n, y).
     """
     if protocol_matrix_mode not in PROTOCOL_MODES:
         raise ValueError(
@@ -102,67 +167,14 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         )
     a011, a012, a021, a022 = pair.a0.entries()
     a111, a112, a121, a122 = pair.a1.entries()
-    # Per-entry equality flags keep interpolation exact when both games agree.
-    e11 = a011 == a111
-    e12 = a012 == a112
-    e21 = a021 == a121
-    e22 = a022 == a122
-    theta, psi = env.theta, env.psi
-    b11, b12, b21, b22 = trust.entries()
-    use_env = protocol_matrix_mode == "env"
-
-    def rhs(x: float, n: float, y: float):
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        if n < 0.0:
-            n = 0.0
-        elif n > 1.0:
-            n = 1.0
-        if y < 0.0:
-            y = 0.0
-        elif y > 1.0:
-            y = 1.0
-
-        # Complements and repeated products are formed once, in equation order.
-        xc = 1.0 - x
-        nc = 1.0 - n
-        yc = 1.0 - y
-        c11 = a011 if e11 else y * a111 + yc * a011
-        c12 = a012 if e12 else y * a112 + yc * a012
-        c21 = a021 if e21 else y * a121 + yc * a021
-        c22 = a022 if e22 else y * a122 + yc * a022
-        u1 = c11 * x + c12 * xc
-        u2 = c21 * x + c22 * xc
-        dx = x * xc * (u1 - u2)
-
-        dn = n * nc * (theta * x + psi * xc)
-
-        if use_env:
-            d11 = a011 if e11 else n * a111 + nc * a011
-            d12 = a012 if e12 else n * a112 + nc * a012
-            d21 = a021 if e21 else n * a121 + nc * a021
-            d22 = a022 if e22 else n * a122 + nc * a022
-            v1 = d11 * x + d12 * xc
-            v2 = d21 * x + d22 * xc
-        else:
-            v1, v2 = u1, u2
-        xv1 = x * v1
-        xcv2 = xc * v2
-        s1 = xv1 * b11 + xcv2 * b12
-        s2 = xv1 * b21 + xcv2 * b22
-        ys1 = y * s1
-        ys2 = yc * s2
-        q21 = ys1 - ys2
-        # Not -q21: equal terms must give +0.0 in both rates.
-        q12 = ys2 - ys1
-        p21 = 0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)
-        p12 = 0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)
-        dy = yc * p21 - y * p12
-        return dx, dn, dy, u1, u2, p12, p21
-
-    return rhs
+    shape = (a011 == a111, a012 == a112, a021 == a121, a022 == a122, protocol_matrix_mode)
+    bind = _KERNELS.get(shape)
+    if bind is None:
+        namespace: dict = {}
+        exec(_kernel_source(shape), namespace)
+        bind = _KERNELS[shape] = namespace["bind"]
+    return bind(a011, a012, a021, a022, a111, a112, a121, a122, env.theta, env.psi,
+                *trust.entries())
 
 
 # Placeholders for the inputs a single-line view does not read.

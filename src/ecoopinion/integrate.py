@@ -147,7 +147,8 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
 
     Stationarity: the sup norm of the derivative stays below
     settings.eps_stationary for settings.hold_time consecutive time units;
-    the run ends on the step that completes the hold, t_converged. The run
+    the run ends on the step that completes the hold, t_converged. A NaN
+    derivative is never stationary. The run
     is fully deterministic: identical inputs produce bit-identical
     trajectories.
 
@@ -184,13 +185,16 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
 
     cur = f(x, n, y)
     record(0.0, x, n, y, cur)
-    streak = 1 if max(abs(cur[0]), abs(cur[1]), abs(cur[2])) < eps else 0
+    k1x, k1n, k1y = cur[0], cur[1], cur[2]
+    # Stationary: each derivative component lies in (-eps, eps). A NaN fails
+    # the test, so a NaN derivative never counts as stationary.
+    neps = -eps
+    streak = 1 if neps < k1x < eps and neps < k1n < eps and neps < k1y < eps else 0
     converged = streak > hold_steps
     k = 0
     reason = "horizon"
 
     while k < n_steps and not converged:
-        k1x, k1n, k1y = cur[0], cur[1], cur[2]
         if use_rk4:
             k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
             k2x, k2n, k2y = k2[0], k2[1], k2[2]
@@ -214,7 +218,8 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
         x, n, y = nx, nn, ny
         k += 1
         cur = f(x, n, y)
-        if max(abs(cur[0]), abs(cur[1]), abs(cur[2])) < eps:
+        k1x, k1n, k1y = cur[0], cur[1], cur[2]
+        if neps < k1x < eps and neps < k1n < eps and neps < k1y < eps:
             streak += 1
         else:
             streak = 0

@@ -439,10 +439,11 @@ class TestLocator:
         assert 0 < calls[0] <= 30  # 28 and 29; the dense scan made 10,158 and 8,775
 
     def test_each_polynomial_searched_once(self, monkeypatch):
-        # One find_fixed_points call searches each distinct polynomial once
-        # (in opinion mode the protocol matrix does not depend on n, so
-        # curves share locators), and the replicator null's edges num, den
-        # and den - num only when a null curve's locator is identically zero.
+        # One find_fixed_points call builds each curve's locator once per
+        # protocol matrix and searches each distinct polynomial once (in
+        # opinion mode the protocol matrix does not depend on n, so curves
+        # share locators), and the replicator null's edges num, den and
+        # den - num only when a null curve's locator is identically zero.
         real_roots, real_locator = analysis._poly_roots, analysis._locator
         depth, searched, locators = [0], [], []
 
@@ -456,8 +457,8 @@ class TestLocator:
                 depth[0] -= 1
 
         def recording(p, q, protocol, trust):
-            locators.append(tuple(real_locator(p, q, protocol, trust)))
-            return list(locators[-1])
+            locators.append((tuple(p), tuple(real_locator(p, q, protocol, trust))))
+            return list(locators[-1][1])
 
         monkeypatch.setattr(analysis, "_poly_roots", spying)
         monkeypatch.setattr(analysis, "_locator", recording)
@@ -472,8 +473,12 @@ class TestLocator:
         for sc in fixed_point_corpus():
             found = searches(sc)
             assert len(set(found)) == len(found), found
-            allowed = {p for p in locators if any(p)}
-            if not all(any(p) for p in locators[-2:]):
+            opinion = sc.protocol_matrix_mode == "opinion"
+            assert len(locators) == (3 if opinion else len(_curves(sc)))
+            allowed = {p for _, p in locators if any(p)}
+            # The faces' p is [x]; the replicator null's is num, of degree 1.
+            nulls = [p for curve, p in locators if len(curve) == 2]
+            if not all(any(p) for p in nulls):
                 a_y = [[a, b - a] for a, b in zip(sc.pair.a0.entries(), sc.pair.a1.entries())]
                 num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
                 den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
@@ -483,11 +488,12 @@ class TestLocator:
                 null_zero_calls += 1
             assert set(found) <= allowed
         assert null_zero_calls > 0
-        counts = {(preset, mode): len(searches(dataclasses.replace(
-                      preset_scenario(preset), protocol_matrix_mode=mode)))
+        counts = {(preset, mode): (len(searches(dataclasses.replace(
+                      preset_scenario(preset), protocol_matrix_mode=mode))), len(locators))
                   for preset in ("hawk-dove", "prisoners-dilemma") for mode in PROTOCOL_MODES}
-        assert counts == {("hawk-dove", "env"): 6, ("hawk-dove", "opinion"): 3,
-                          ("prisoners-dilemma", "env"): 6, ("prisoners-dilemma", "opinion"): 3}
+        assert counts == {("hawk-dove", "env"): (6, 6), ("hawk-dove", "opinion"): (3, 3),
+                          ("prisoners-dilemma", "env"): (6, 6),
+                          ("prisoners-dilemma", "opinion"): (3, 3)}
 
     @pytest.mark.parametrize("mode", PROTOCOL_MODES)
     def test_locator_sign_is_the_sign_of_dy(self, monkeypatch, mode):
@@ -509,9 +515,15 @@ class TestLocator:
             built.clear()
             find_fixed_points(sc)
             curves = _curves(sc)
-            assert len(built) == len(curves)
+            # One build per curve and protocol matrix, in curve order; in
+            # opinion mode the matrix does not depend on n.
+            keys = [(x_of_y(0.5) if k < len(curves) - 2 else "null",
+                     n if mode == "env" else None) for k, (x_of_y, n) in enumerate(curves)]
+            order = list(dict.fromkeys(keys))
+            assert len(built) == len(order)
             f = sc.rhs()
-            for (x_of_y, n), (p, q, locator) in zip(curves, built):
+            for (x_of_y, n), key in zip(curves, keys):
+                p, q, locator = built[order.index(key)]
                 for _ in range(40):
                     y = rng.uniform(1e-6, 1.0 - 1e-6)
                     x = x_of_y(y)

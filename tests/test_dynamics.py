@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ecoopinion import (
     make_rhs,
     replicator_rhs,
 )
+from ecoopinion import dynamics
 from ecoopinion.dynamics import PROTOCOL_MODES
 from ecoopinion.traps import _Interval, _Straddle, _bounds, _jacobian
 
@@ -433,3 +435,121 @@ class TestJacobian:
         # straddle the coordinate pins; around the sink (0.7, 1, 1) it has one.
         rows = _jacobian(f, (_Interval(0.675, 0.725), _Interval(0.975, 1.0), _Interval(0.975, 1.0)))
         assert all(lo <= hi for row in rows for lo, hi in map(_bounds, row))
+
+
+def reference_make_rhs(pair, env, trust, protocol_matrix_mode="env"):
+    """make_rhs as a hand-written closure that branches on the entry flags
+    and the protocol mode at every call: the reference the generated
+    per-shape evaluators must match bit for bit."""
+    a011, a012, a021, a022 = pair.a0.entries()
+    a111, a112, a121, a122 = pair.a1.entries()
+    e11 = a011 == a111
+    e12 = a012 == a112
+    e21 = a021 == a121
+    e22 = a022 == a122
+    theta, psi = env.theta, env.psi
+    b11, b12, b21, b22 = trust.entries()
+    use_env = protocol_matrix_mode == "env"
+
+    def rhs(x, n, y):
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        if n < 0.0:
+            n = 0.0
+        elif n > 1.0:
+            n = 1.0
+        if y < 0.0:
+            y = 0.0
+        elif y > 1.0:
+            y = 1.0
+        xc = 1.0 - x
+        nc = 1.0 - n
+        yc = 1.0 - y
+        c11 = a011 if e11 else y * a111 + yc * a011
+        c12 = a012 if e12 else y * a112 + yc * a012
+        c21 = a021 if e21 else y * a121 + yc * a021
+        c22 = a022 if e22 else y * a122 + yc * a022
+        u1 = c11 * x + c12 * xc
+        u2 = c21 * x + c22 * xc
+        dx = x * xc * (u1 - u2)
+        dn = n * nc * (theta * x + psi * xc)
+        if use_env:
+            d11 = a011 if e11 else n * a111 + nc * a011
+            d12 = a012 if e12 else n * a112 + nc * a012
+            d21 = a021 if e21 else n * a121 + nc * a021
+            d22 = a022 if e22 else n * a122 + nc * a022
+            v1 = d11 * x + d12 * xc
+            v2 = d21 * x + d22 * xc
+        else:
+            v1, v2 = u1, u2
+        xv1 = x * v1
+        xcv2 = xc * v2
+        s1 = xv1 * b11 + xcv2 * b12
+        s2 = xv1 * b21 + xcv2 * b22
+        ys1 = y * s1
+        ys2 = yc * s2
+        q21 = ys1 - ys2
+        q12 = ys2 - ys1
+        p21 = 0.0 if q21 < 0.0 else (1.0 if q21 > 1.0 else q21)
+        p12 = 0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)
+        dy = yc * p21 - y * p12
+        return dx, dn, dy, u1, u2, p12, p21
+
+    return rhs
+
+
+def shape_games(rng, shared, count):
+    """count random game pairs whose entries agree exactly where shared says;
+    an agreeing entry may be 0.0 in one game and -0.0 in the other."""
+    for _ in range(count):
+        a0, a1 = [], []
+        for same in shared:
+            a = rng.choice((0.0, -0.0, float(rng.randint(-5, 5)), rng.uniform(-10.0, 10.0)))
+            if not same:
+                b = a + rng.uniform(0.5, 5.0)
+            else:
+                b = -a if a == 0.0 and rng.random() < 0.5 else a
+            a0.append(a)
+            a1.append(b)
+        yield GamePair(Payoff2x2(*a0), Payoff2x2(*a1))
+
+
+class TestKernelShapes:
+    """Each of the 32 shapes make_rhs compiles (entry flags a0ij == a1ij and
+    protocol mode) against the hand-written closure kernel."""
+
+    SHAPES = [(shared, mode) for shared in itertools.product((True, False), repeat=4)
+              for mode in PROTOCOL_MODES]
+
+    @pytest.mark.parametrize("shared, mode", SHAPES)
+    def test_bits_equal_reference(self, shared, mode):
+        rng = random.Random(repr((shared, mode)))
+        outside = (-0.5, -1e-300, 1.5, 1.0 + 2.0 ** -52)
+        for pair in shape_games(rng, shared, 4):
+            trust = TrustMatrix(*[rng.choice((0.0, 1.0, rng.random())) for _ in range(4)])
+            env = EnvParams(rng.uniform(0.01, 3.0), rng.choice((0.0, -0.0, -rng.uniform(0.0, 3.0))))
+            f = make_rhs(pair, env, trust, mode)
+            g = reference_make_rhs(pair, env, trust, mode)
+            coords = [*EDGE_COORDS, *outside, rng.random(), rng.random()]
+            for z in itertools.product(coords, repeat=3):
+                assert [v.hex() for v in f(*z)] == [v.hex() for v in g(*z)], (pair, mode, z)
+            # Forward-mode derivatives through the same operations.
+            for _ in range(5):
+                z = [rng.uniform(0.05, 0.95) for _ in range(3)]
+                assert [[v.hex() for v in row] for row in _jacobian(f, z)] == \
+                    [[v.hex() for v in row] for row in _jacobian(g, z)]
+
+    def test_compiled_once_per_shape(self):
+        # Two pairs that differ in every entry, with other env and trust.
+        pair = GamePair(HD_PAIR.a0, Payoff2x2(1.0, 2.0, 3.0, 4.0))
+        first = make_rhs(pair, ENV, TRUST)
+        other = make_rhs(GamePair(Payoff2x2(5.0, 6.0, 7.0, 8.0), HD_PAIR.a1),
+                         EnvParams(0.5, 0.0), TrustMatrix(1.0, 0.0, 0.25, 1.0))
+        assert first.__code__ is other.__code__
+        assert first(0.3, 0.4, 0.5) != other(0.3, 0.4, 0.5)
+        assert make_rhs(pair, ENV, TRUST, "opinion").__code__ is not first.__code__
+        for _ in kernel_corpus(states=1):
+            pass
+        assert 2 < len(dynamics._KERNELS) <= 32

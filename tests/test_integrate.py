@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import types
 
 import pytest
 
@@ -240,6 +241,21 @@ class TestBlowup:
             assert str(exc.value) == "non-finite derivative in component x at t=0"
             assert exc.value.component == "x"
             assert exc.value.t == 0.0
+
+    @pytest.mark.parametrize("component", "xny")
+    def test_nan_derivative_is_never_stationary(self, component):
+        # max() drops a NaN that is not its first argument; were the test
+        # written with it, a NaN dn or dy would converge here at t = 0.
+        d = [0.0, 0.0, 0.0]
+        d["xny".index(component)] = math.nan
+        stub = types.SimpleNamespace(settings=IntegratorSettings(hold_time=0.0),
+                                     initial=SystemState(0.5, 0.5, 0.5),
+                                     rhs=lambda: lambda x, n, y: (*d, 0.0, 0.0, 0.0, 0.0))
+        for method in integrate.METHODS:
+            with pytest.raises(BlowupError) as exc:
+                simulate(stub, method)
+            assert exc.value.component == component and exc.value.t == 0.0
+            assert exc.value.partial.steps == 0
 
     @staticmethod
     def coarse_pd_euler():
