@@ -37,8 +37,9 @@ class FixedPointRecord:
     "environment-interior" (n interior, which requires the environment drift
     factor to vanish at this x), or "mixed" (anything else, in particular
     interior y). family="n" marks records on a line where the environment
-    factor vanishes: there every n is stationary and the record's n is just a
-    representative sample.
+    factor vanishes, so dn == 0 at every n: the line's records are the n
+    samples in FAMILY_SAMPLES that verify, and a line may be stationary on
+    only part of [0, 1].
     """
 
     state: SystemState
@@ -187,9 +188,9 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     sample per piece of a curve along which the locator vanishes
     identically), or at the opinion weight that nulls the replicator
     bracket. Every candidate is kept only if the sup norm of the full
-    derivative is below RESIDUAL_TOL. Equal locators are searched once per
-    call, and the replicator null's edges only for a curve along which the
-    locator vanishes identically (dy == 0).
+    derivative is below RESIDUAL_TOL. A curve's locator is built and searched
+    once per protocol matrix (in opinion mode A_y, at every n), and the
+    replicator null's edges only where it vanishes identically (dy == 0).
     """
     f = scenario.rhs()
     theta, psi = scenario.env.theta, scenario.env.psi
@@ -213,48 +214,36 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     # x = 0), then the replicator null on the faces n = 0 and n = 1. Each
     # curve's y candidates are 0, 1 and its locator's roots. A_y's entries
     # are polynomials in y; the replicator null is x = num/den, and it leaves
-    # (0, 1) where num, den or den - num vanishes. Curves share polynomials
-    # (in opinion mode the protocol matrix does not depend on n): build each
-    # curve's locator once per protocol matrix, and search each polynomial once.
-    found: dict[tuple[float, ...], list[float]] = {}
-
-    def roots(p):
-        key = tuple(p)  # +0.0 == -0.0, which changes no root
-        if key not in found:
-            found[key] = _poly_roots(p)
-        return found[key]
-
+    # (0, 1) where num, den or den - num vanishes.
     a_y = [[a, b - a] for a, b in zip(scenario.pair.a0.entries(), scenario.pair.a1.entries())]
     opinion = scenario.protocol_matrix_mode == "opinion"
-    built: dict[tuple, list[float]] = {}
 
-    def shared_locator(p, q, n):
-        key = (tuple(p), None if opinion else n)  # p tells the curves apart
-        if key not in built:
-            matrix = a_y if opinion else [[a + n * g] for a, g in a_y]
-            built[key] = _locator(p, q, matrix, scenario.trust)
-        return built[key]
+    def entries(x_of_y, p, q, ns, edges=()):
+        # (x(y), n values, locator, edges) of the curve x = p/(p + q), one
+        # entry per protocol matrix: in opinion mode that is A_y at every n.
+        if opinion:
+            return [(x_of_y, ns, _locator(p, q, a_y, scenario.trust), edges)]
+        return [(x_of_y, (n,), _locator(p, q, [[a + n * g] for a, g in a_y], scenario.trust),
+                 edges) for n in ns]
 
-    curves = [(lambda y, x=x: x, n, shared_locator([x], [1.0 - x], n), ())
-              for x in (0.0, 1.0)
-              for n in (FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0))]
+    curves = []
+    for x in (0.0, 1.0):
+        curves += entries(lambda y, x=x: x, [x], [1.0 - x],
+                          FAMILY_SAMPLES if abs(env_factor(x)) <= _ZERO_TOL else (0.0, 1.0))
     num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
     den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
     rest = [d - u for d, u in zip(den, num)]
-    curves += [(x_root_given_y, n, shared_locator(num, rest, n), (num, den, rest))
-               for n in (0.0, 1.0)]
+    curves += entries(x_root_given_y, num, rest, (0.0, 1.0), (num, den, rest))
     candidates: list[tuple[float, float, float]] = []
-    for x_of_y, n, locator, edges in curves:
+    for x_of_y, ns, locator, edges in curves:
         if any(locator):
-            ys = roots(locator)
+            ys = _poly_roots(locator)
         else:
             # dy vanishes all along the curve: one sample per piece of it.
-            cuts = sorted({0.0, 1.0, *(t for e in edges for t in roots(e))})
+            cuts = sorted({0.0, 1.0, *(t for e in edges for t in _poly_roots(e))})
             ys = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-        for y in sorted({0.0, 1.0, *ys}):
-            x = x_of_y(y)
-            if x is not None:
-                candidates.append((x, n, y))
+        points = [(x_of_y(y), y) for y in sorted({0.0, 1.0, *ys})]
+        candidates += [(x, n, y) for n in ns for x, y in points if x is not None]
 
     # Environment-null line: interior x where the drift factor vanishes makes
     # n a free parameter. The bracket u1 - u2 there is affine in y and pins y:

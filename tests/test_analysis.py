@@ -438,12 +438,13 @@ class TestLocator:
         assert records
         assert 0 < calls[0] <= 30  # 28 and 29; the dense scan made 10,158 and 8,775
 
-    def test_each_polynomial_searched_once(self, monkeypatch):
-        # One find_fixed_points call builds each curve's locator once per
-        # protocol matrix and searches each distinct polynomial once (in
-        # opinion mode the protocol matrix does not depend on n, so curves
-        # share locators), and the replicator null's edges num, den and
-        # den - num only when a null curve's locator is identically zero.
+    def test_one_build_and_search_per_curve_entry(self, monkeypatch):
+        # One find_fixed_points call builds one locator per curve entry: per
+        # curve in opinion mode (the protocol matrix is A_y at every n), per
+        # curve and n in env mode. It searches each entry's locator in entry
+        # order, or, where that vanishes identically on the replicator null,
+        # the null's edges num, den and den - num; a face has no edges. Equal
+        # polynomials of two entries are searched twice.
         real_roots, real_locator = analysis._poly_roots, analysis._locator
         depth, searched, locators = [0], [], []
 
@@ -472,21 +473,20 @@ class TestLocator:
         null_zero_calls = 0
         for sc in fixed_point_corpus():
             found = searches(sc)
-            assert len(set(found)) == len(found), found
             opinion = sc.protocol_matrix_mode == "opinion"
             assert len(locators) == (3 if opinion else len(_curves(sc)))
-            allowed = {p for _, p in locators if any(p)}
-            # The faces' p is [x]; the replicator null's is num, of degree 1.
-            nulls = [p for curve, p in locators if len(curve) == 2]
-            if not all(any(p) for p in nulls):
-                a_y = [[a, b - a] for a, b in zip(sc.pair.a0.entries(), sc.pair.a1.entries())]
-                num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
-                den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
-                edges = {tuple(num), tuple(den), tuple(d - u for d, u in zip(den, num))}
-                assert edges <= set(found)
-                allowed |= edges
-                null_zero_calls += 1
-            assert set(found) <= allowed
+            a_y = [[a, b - a] for a, b in zip(sc.pair.a0.entries(), sc.pair.a1.entries())]
+            num = [c22 - c12 for c12, c22 in zip(a_y[1], a_y[3])]
+            den = [c11 - c12 - c21 + c22 for c11, c12, c21, c22 in zip(*a_y)]
+            edges = [tuple(num), tuple(den), tuple(d - u for d, u in zip(den, num))]
+            expected = []
+            for curve, p in locators:
+                if any(p):
+                    expected.append(p)
+                elif len(curve) == 2:  # the faces' p is [x]; the null's is num, of degree 1
+                    expected += edges
+                    null_zero_calls += 1
+            assert found == expected
         assert null_zero_calls > 0
         counts = {(preset, mode): (len(searches(dataclasses.replace(
                       preset_scenario(preset), protocol_matrix_mode=mode))), len(locators))
