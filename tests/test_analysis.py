@@ -192,23 +192,47 @@ def fixed_point_corpus(seed=8080, count=150):
                        protocol_matrix_mode=rng.choice(PROTOCOL_MODES))
 
 
-class TestFixedPointBits:
-    # sha256 over fixed_point_corpus() of every record's float.hex() fields,
-    # kind and family; the golden files pin only the two presets.
-    DIGEST = "f272d3a9191d62b8732bb253ba92ae1c525dfbcaaca894c2a02ee3071c3501a6"
+def bench_like_scenarios(seed=8091, count=256):
+    """Seeded random games drawn like the benchmark's fixed-points inputs:
+    payoff entries uniform in [-5, 5], theta in [0.2, 3], psi = 0 on every
+    eighth pair and otherwise in [-3, -0.05], uniform trust, and the two
+    protocol modes alternating."""
+    rng = random.Random(seed)
+    for k in range(count):
+        a0 = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+        a1 = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+        psi = 0.0 if (k // 2) % 8 == 0 else -rng.uniform(0.05, 3.0)
+        trust = TrustMatrix(*[rng.random() for _ in range(4)])
+        theta = rng.uniform(0.2, 3.0)
+        yield Scenario(GamePair(Payoff2x2(*a0), Payoff2x2(*a1)), EnvParams(theta, psi), trust,
+                       SystemState(0.5, 0.5, 0.5), protocol_matrix_mode=PROTOCOL_MODES[k % 2])
 
-    def test_records_bit_identical(self):
+
+class TestFixedPointBits:
+    # sha256 of every record's float.hex() fields, kind and family: over
+    # fixed_point_corpus() (DIGEST) and over bench_like_scenarios()
+    # (BENCH_DIGEST); the golden files pin only the two presets.
+    DIGEST = "f272d3a9191d62b8732bb253ba92ae1c525dfbcaaca894c2a02ee3071c3501a6"
+    BENCH_DIGEST = "b40c2c696a4f53b41222208676738e39f0f10bdd9e153848f05613ae425d52ce"
+
+    @staticmethod
+    def _digest(scenarios):
         digest = hashlib.sha256()
         count = 0
-        for scenario in fixed_point_corpus():
+        for scenario in scenarios:
             for r in find_fixed_points(scenario):
                 fields = (r.state.x, r.state.n, r.state.y, r.residual)
                 digest.update((" ".join(v.hex() for v in fields)
                                + f" {r.kind} {r.family}\n").encode())
             digest.update(b"--\n")
             count += 1
-        assert count == 150
-        assert digest.hexdigest() == self.DIGEST
+        return count, digest.hexdigest()
+
+    def test_records_bit_identical(self):
+        assert self._digest(fixed_point_corpus()) == (150, self.DIGEST)
+
+    def test_bench_like_records_bit_identical(self):
+        assert self._digest(bench_like_scenarios()) == (256, self.BENCH_DIGEST)
 
 
 class TestNearestFixedPoint:
