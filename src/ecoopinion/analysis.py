@@ -125,27 +125,41 @@ def _poly_deriv(p):
 def _poly_roots(p):
     """Sorted real roots in [0, 1] of the polynomial p, each sign change
     between consecutive roots of its derivative bisected. A constant has
-    none, the zero polynomial included."""
+    none, the zero polynomial included.
+
+    A bracket is bisected on p where p rises, on -p where it falls, with
+    Horner's rule written out up to degree 4 (the locators' maximum) and
+    _poly_at above it. Negation negates each Horner step exactly, and
+    _poly_at's leading 0.0 * t adds zero: both change only a zero's sign,
+    which no comparison reads, so each root is that of bisecting p itself."""
     if not any(p[1:]):
         return []
     cuts = [0.0, *_poly_roots(_poly_deriv(p)), 1.0]
-    roots = {t for t in cuts if _poly_at(p, t) == 0.0}
-    lead, *tail = p[::-1]
-    for lo, hi in zip(cuts, cuts[1:]):
-        vlo, vhi = _poly_at(p, lo), _poly_at(p, hi)
+    values = [_poly_at(p, t) for t in cuts]
+    roots = {t for t, v in zip(cuts, values) if v == 0.0}
+    for lo, hi, vlo, vhi in zip(cuts, cuts[1:], values, values[1:]):
         if (vlo < 0.0 < vhi) or (vhi < 0.0 < vlo):
-            rising = vlo < 0.0
+            q = p if vlo < 0.0 else [-c for c in p]
+            c0, c1, c2, c3, c4 = [*q, 0.0, 0.0, 0.0, 0.0][:5]
+            size = len(q)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                vm = lead  # not 0.0 * mid + lead: only a zero's sign differs
-                for c in tail:
-                    vm = vm * mid + c
-                if vm == 0.0:
-                    lo = hi = mid
-                elif (vm < 0.0) == rising:
-                    lo = mid
+                if size == 2:
+                    vm = c1 * mid + c0
+                elif size == 3:
+                    vm = (c2 * mid + c1) * mid + c0
+                elif size == 4:
+                    vm = ((c3 * mid + c2) * mid + c1) * mid + c0
+                elif size == 5:
+                    vm = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
                 else:
+                    vm = _poly_at(q, mid)
+                if vm < 0.0:
+                    lo = mid
+                elif vm > 0.0:
                     hi = mid
+                else:
+                    lo = hi = mid
                 if hi - lo < 1e-15:
                     break
             roots.add(0.5 * (lo + hi))
@@ -267,27 +281,28 @@ def find_fixed_points(scenario) -> list[FixedPointRecord]:
     kept: list[tuple[float, float, float]] = []
     for cx, cn, cy in candidates:
         cx, cn, cy = _snap01(cx), _snap01(cn), _snap01(cy)
-        if any(abs(cx - px) < _SNAP_TOL and abs(cn - pn) < _SNAP_TOL
-               and abs(cy - py) < _SNAP_TOL for px, pn, py in kept):
-            continue
-        d = f(cx, cn, cy)
-        residual = max(abs(d[0]), abs(d[1]), abs(d[2]))
-        if not residual < RESIDUAL_TOL:  # a NaN residual is rejected too
-            continue
-        kept.append((cx, cn, cy))
-        family = "n" if abs(env_factor(cx)) <= _ZERO_TOL else None
-        interior_x = 0.0 < cx < 1.0
-        interior_n = 0.0 < cn < 1.0
-        interior_y = 0.0 < cy < 1.0
-        if not (interior_x or interior_n or interior_y):
-            kind = "corner"
-        elif interior_x and not interior_n and not interior_y:
-            kind = "replicator-interior"
-        elif interior_n and not interior_y:
-            kind = "environment-interior"
+        for px, pn, py in kept:
+            if abs(cx - px) < _SNAP_TOL and abs(cn - pn) < _SNAP_TOL and abs(cy - py) < _SNAP_TOL:
+                break  # a kept point lies within _SNAP_TOL
         else:
-            kind = "mixed"
-        records.append(FixedPointRecord(SystemState(cx, cn, cy), residual, kind, family))
+            d = f(cx, cn, cy)
+            residual = max(abs(d[0]), abs(d[1]), abs(d[2]))
+            if not residual < RESIDUAL_TOL:  # a NaN residual is rejected too
+                continue
+            kept.append((cx, cn, cy))
+            family = "n" if abs(env_factor(cx)) <= _ZERO_TOL else None
+            interior_x = 0.0 < cx < 1.0
+            interior_n = 0.0 < cn < 1.0
+            interior_y = 0.0 < cy < 1.0
+            if not (interior_x or interior_n or interior_y):
+                kind = "corner"
+            elif interior_x and not interior_n and not interior_y:
+                kind = "replicator-interior"
+            elif interior_n and not interior_y:
+                kind = "environment-interior"
+            else:
+                kind = "mixed"
+            records.append(FixedPointRecord(SystemState(cx, cn, cy), residual, kind, family))
 
     records.sort(key=lambda r: (r.state.x, r.state.n, r.state.y))
     return records

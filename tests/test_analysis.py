@@ -608,10 +608,23 @@ def _random_polys(seed, count):
 def _edge_polys():
     """Polynomials whose leading coefficient is 0.0 or -0.0, and polynomials
     with dyadic roots (0.5, 0.25, 0.375), which a bisection midpoint can hit
-    exactly, in both signs and with a signed-zero leading coefficient."""
+    exactly, in both signs (so brackets rise and fall) and with a
+    signed-zero leading coefficient. (t - r)*(t + 2)**(d - 1) rises on [0, 1]
+    for d <= 4, so its one bracket is [0, 1] and a midpoint lands on r at
+    each degree from 1 to 4; degrees 5 and 6 take the generic evaluation."""
     dyadic = [[-0.5, 1.0], [-0.25, 1.0], [-0.375, 1.0], [0.0, 1.0]]
     products = [analysis._poly_mul(p, q) for i, p in enumerate(dyadic) for q in dyadic[i:]]
     products += [analysis._poly_mul(p, q) for p in products for q in dyadic[:3]]
+    for p in dyadic[:3]:
+        for _ in range(5):
+            p = analysis._poly_mul(p, [2.0, 1.0])
+            products.append(p)
+    interior = [[-r, 1.0] for r in (0.1, 0.3, 0.55, 0.7, 0.9, 0.2)]
+    for k in (5, 6):
+        p = [1.0]
+        for q in interior[:k]:
+            p = analysis._poly_mul(p, q)
+        products += [p, analysis._poly_mul(p, [0.5, -1.0])]
     for p in [*dyadic, *products, *_random_polys(8087, 200)]:
         for scale in (1.0, -3.0):
             q = [scale * c for c in p]

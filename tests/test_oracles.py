@@ -1,6 +1,7 @@
 """Metamorphic checks of the model kernel whose expected values follow from
 the model's equations, not from any implementation of them: a relabelling
-of the two opinions, and the invariant faces of the unit cube."""
+of the two opinions, the invariant faces of the unit cube, and the direction
+of the flow along the cube's edges."""
 
 import itertools
 import random
@@ -93,3 +94,69 @@ class TestInvariantFaces:
                 for face in (0.0, 1.0):
                     assert f(face, a, b)[0] == 0.0, (face, a, b)
                     assert f(a, face, b)[1] == 0.0, (a, face, b)
+
+
+def sign(value):
+    return (value > 0.0) - (value < 0.0)
+
+
+def blended(pair, w):
+    """Entries (11, 12, 21, 22) of the game (1 - w)*A0 + w*A1."""
+    return [(1.0 - w) * a + w * b for a, b in zip(pair.a0.entries(), pair.a1.entries())]
+
+
+class TestEdgeSigns:
+    # Along each of the cube's 12 edges two coordinates sit at 0 or 1 and
+    # the flow's component along the edge has a closed form. Points where
+    # that form is within 1e-12 of 0 are skipped: rounding may flip them.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("mode", PROTOCOL_MODES)
+    def test_each_edge_moves_as_its_closed_form(self, mode):
+        rng = random.Random(2025)
+        checked = skipped = 0
+
+        def expect(closed_form, value, point):
+            nonlocal checked, skipped
+            if abs(closed_form) <= self.TOL:
+                skipped += 1
+            else:
+                assert sign(value) == sign(closed_form), (point, value, closed_form)
+                checked += 1
+
+        for pair, env, trust in seeded_scenarios(2026):
+            f = make_rhs(pair, env, trust, mode)
+            b11, b12, b21, b22 = trust.entries()
+            for _ in range(20):
+                t = rng.random()
+                for a, b in itertools.product((0.0, 1.0), repeat=2):
+                    # n edge: dn = n(1 - n)(theta*x + psi*(1 - x)).
+                    expect(env.theta if a else env.psi, f(a, t, b)[1], (a, t, b))
+                    # x edge: dx = x(1 - x)(u1 - u2) under A_y.
+                    c11, c12, c21, c22 = blended(pair, b)
+                    expect((c11 - c21) * t + (c12 - c22) * (1.0 - t), f(t, a, b)[0], (t, a, b))
+                    # y edge: dy has the sign of q21 = y*S1 - (1 - y)*S2, where
+                    # S1 and S2 weigh the protocol game D = A_n (env) or A_y
+                    # (opinion) by trust; at x = 1 only d11, at x = 0 only d22.
+                    d11, _, _, d22 = blended(pair, b if mode == "env" else t)
+                    q21 = (d11 * (t * b11 - (1.0 - t) * b21) if a
+                           else d22 * (t * b12 - (1.0 - t) * b22))
+                    expect(q21, f(a, b, t)[2], (a, b, t))
+                    # On the x and n edges at y = b, dy = p21 = max(0, -S2) at
+                    # y = 0 and -p12 = -max(0, -S1) at y = 1: zero exactly
+                    # where that face is invariant (S2 >= 0, S1 >= 0), else
+                    # pointing into the cube.
+                    for x, n in ((t, a), (a, t)):
+                        d11, d12, d21, d22 = blended(pair, n if mode == "env" else b)
+                        v1, v2 = d11 * x + d12 * (1.0 - x), d21 * x + d22 * (1.0 - x)
+                        s = x * v1 * (b11 if b else b21) + (1.0 - x) * v2 * (b12 if b else b22)
+                        if abs(s) <= self.TOL:
+                            skipped += 1
+                            continue
+                        dy = f(x, n, b)[2]
+                        if s > 0.0:
+                            assert dy == 0.0, ((x, n, b), dy, s)
+                        else:
+                            assert sign(dy) == (-1 if b else 1), ((x, n, b), dy, s)
+                        checked += 1
+        assert checked > 0.9 * (checked + skipped)
