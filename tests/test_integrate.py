@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import itertools
 import math
+import random
 import struct
 import types
 
@@ -10,6 +13,7 @@ from ecoopinion import (
     EnvParams,
     GamePair,
     IntegratorSettings,
+    PROTOCOL_MODES,
     Payoff2x2,
     SystemState,
     TrustMatrix,
@@ -54,6 +58,20 @@ def one_step(state, pair, dt, method="rk4"):
 
 def gap(a, b):
     return max(abs(a.x - b.x), abs(a.n - b.n), abs(a.y - b.y))
+
+
+def hd_preset(**settings):
+    sc = preset_scenario("hawk-dove")
+    return dataclasses.replace(sc, settings=dataclasses.replace(sc.settings, **settings))
+
+
+def spy_stop(calls, stop_at=0):
+    """A stop hook that appends each call's arguments to calls and is true
+    on call number stop_at, never when stop_at is 0."""
+    def stop(x, n, y, t_left):
+        calls.append((x, n, y, t_left))
+        return len(calls) == stop_at
+    return stop
 
 
 class TestSettings:
@@ -344,6 +362,32 @@ class TestRunReport:
         full = simulate(hd_scenario())
         assert simulate(hd_scenario(), stop=lambda x, n, y, t: False) == full
 
+    def test_stop_sees_the_horizon_step(self):
+        # The horizon's last step is a record step: stop sees it with no time left.
+        calls = []
+        trajectory = simulate(hd_preset(t_max=0.2), stop=spy_stop(calls, 2))
+        assert [c[3] for c in calls] == [0.1, 0.0]
+        assert trajectory.reason == "stopped" and trajectory.steps == 20
+        assert trajectory.times == (0.0, 0.1, 0.2)
+
+    @pytest.mark.parametrize("method, steps, every, samples", [
+        ("rk4", 3055, 10, 307), ("rk4", 3055, 5, 612), ("rk4", 3055, 13, 236),
+        ("rk4", 3055, 611, 6), ("euler", 3047, 10, 306), ("euler", 3047, 11, 278),
+        ("euler", 3047, 277, 12)])
+    def test_last_step_sampled_once(self, method, steps, every, samples):
+        # Every record_every but 10 divides the converging step. Stop, never
+        # true, sees every sample but the first (t = 0) and the last (the
+        # converging step), with the time left to the horizon at t = 500.
+        calls = []
+        trajectory = simulate(hd_preset(record_every=every), method, stop=spy_stop(calls))
+        assert trajectory.reason == "converged" and trajectory.steps == steps
+        assert len(trajectory.times) == samples
+        assert trajectory.times[-1] == steps * 0.01 and trajectory.times[-2] < steps * 0.01
+        assert all(t0 < t1 for t0, t1 in zip(trajectory.times, trajectory.times[1:]))
+        assert len(calls) == samples - 2
+        assert calls == [(x, n, y, 500.0 - t) for t, x, n, y in zip(
+            trajectory.times[1:-1], trajectory.x[1:-1], trajectory.n[1:-1], trajectory.y[1:-1])]
+
     def test_blowup_partial(self):
         with pytest.raises(BlowupError) as exc:
             simulate(TestBlowup.coarse_pd_euler(), "euler")
@@ -359,3 +403,95 @@ class TestRunReport:
         # reason and steps are keyword-only, so a positional report fails loudly.
         with pytest.raises(TypeError):
             type(trajectory)(*columns, False, None)
+
+
+class TestRhsEvaluations:
+    # One evaluation of each step's starting state, plus three more stages per
+    # RK4 step, plus one of the state the run ends on: no counter is needed.
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1)])
+    @pytest.mark.parametrize("settings, stop_at, reason", [
+        ({}, None, "converged"), ({"t_max": 2.0}, None, "horizon"), ({}, 3, "stopped")])
+    def test_count_follows_steps(self, monkeypatch, method, per_step, settings, stop_at, reason):
+        evaluations = 0
+        real = Scenario.rhs
+
+        def counting_rhs(scenario):
+            f = real(scenario)
+
+            def counted(x, n, y):
+                nonlocal evaluations
+                evaluations += 1
+                return f(x, n, y)
+            return counted
+
+        monkeypatch.setattr(Scenario, "rhs", counting_rhs)
+        stop = None if stop_at is None else spy_stop([], stop_at)
+        trajectory = simulate(hd_preset(**settings), method, stop=stop)
+        assert trajectory.reason == reason
+        assert evaluations == 1 + per_step * trajectory.steps
+
+
+def trajectory_corpus(seed=2929, games=16):
+    """Seeded runs for simulate's bit pin, as (scenario, stop_at) pairs.
+
+    Both presets and random games, in alternating protocol modes, are crossed
+    with record_every 1 and 7, t_max 4.9 and 5 (on and off a 7-step record),
+    hold_time 0 and 1 and eps_stationary 1e-8 and 1e-2. Each run draws a stop
+    hook: none (stop_at None), never true (0) or true on a seeded call. Then
+    each scenario runs at a coarse dt of 1 and 2.5, where most runs blow up.
+    """
+    rng = random.Random(seed)
+    scenarios = [preset_scenario("hawk-dove"), preset_scenario("prisoners-dilemma")]
+    for _ in range(games):
+        a0 = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+        a1 = [rng.uniform(-5.0, 5.0) for _ in range(4)]
+        scenarios.append(Scenario(GamePair(Payoff2x2(*a0), Payoff2x2(*a1)),
+                                  EnvParams(rng.uniform(0.2, 3.0), -rng.uniform(0.0, 3.0)),
+                                  TrustMatrix(*[rng.random() for _ in range(4)]),
+                                  SystemState(rng.random(), rng.random(), rng.random())))
+    for j, sc in enumerate(scenarios):
+        mode = PROTOCOL_MODES[j % 2]
+        for every, t_max, hold, eps in itertools.product((1, 7), (4.9, 5.0), (0.0, 1.0),
+                                                         (1e-8, 1e-2)):
+            settings = IntegratorSettings(t_max=t_max, record_every=every, hold_time=hold,
+                                          eps_stationary=eps)
+            stop_at = rng.choice((None, 0, rng.randint(1, 80)))
+            yield dataclasses.replace(sc, settings=settings, protocol_matrix_mode=mode), stop_at
+    for j, sc in enumerate(scenarios):
+        for dt in (1.0, 2.5):
+            settings = IntegratorSettings(dt=dt, t_max=200.0, record_every=1 + j % 3)
+            yield (dataclasses.replace(sc, settings=settings,
+                                       protocol_matrix_mode=PROTOCOL_MODES[j % 2]),
+                   None if j % 2 else 0)
+
+
+class TestTrajectoryBits:
+    # sha256 over trajectory_corpus() run by both methods: every column's
+    # float.hex(), converged, reason and steps, each stop call's arguments,
+    # and for a blowup its message, component and time with the partial.
+    # The golden files pin only the two presets at their default settings.
+    DIGEST = "3c21e23463953a0468f04087d3fa9ecd7d36f226deec72eab56f0a6a3032df11"
+
+    def test_runs_bit_identical(self):
+        digest = hashlib.sha256()
+        runs = 0
+        for scenario, stop_at in trajectory_corpus():
+            for method in integrate.METHODS:
+                calls = []
+                stop = None if stop_at is None else spy_stop(calls, stop_at)
+                try:
+                    trajectory = simulate(scenario, method, stop=stop)
+                except BlowupError as err:
+                    trajectory = err.partial
+                    digest.update(f"{err} {err.component} {err.t.hex()}\n".encode())
+                for column in (trajectory.times, trajectory.x, trajectory.n, trajectory.y,
+                               trajectory.u1, trajectory.u2, trajectory.u_avg,
+                               trajectory.p12, trajectory.p21):
+                    digest.update(" ".join(v.hex() for v in column).encode() + b"\n")
+                digest.update(f"{trajectory.converged} {trajectory.reason} "
+                              f"{trajectory.steps}\n".encode())
+                for call in calls:
+                    digest.update(" ".join(v.hex() for v in call).encode() + b"\n")
+                digest.update(b"--\n")
+                runs += 1
+        assert (runs, digest.hexdigest()) == (648, self.DIGEST)
