@@ -145,12 +145,15 @@ def _leave_cube(stages, state, t):
 def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     """Integrate a scenario until t_max or stationarity.
 
-    Stationarity: the sup norm of the derivative stays below
-    settings.eps_stationary for settings.hold_time consecutive time units;
-    the run ends on the step that completes the hold, t_converged. A NaN
-    derivative is never stationary. The run
-    is fully deterministic: identical inputs produce bit-identical
-    trajectories.
+    One loop pass per step k, at time k * dt, evaluates the derivative once,
+    updates the stationarity streak, samples on a record step (every
+    record_every steps from t = 0) or on the run's last step, calls stop, and
+    then ends the run or takes the step. Stationarity: the sup norm of the
+    derivative stays below settings.eps_stationary for settings.hold_time
+    consecutive time units, counted from t = 0; the run ends on the step
+    that completes the hold, t_converged. A NaN derivative is never
+    stationary. The run is fully deterministic: identical inputs produce
+    bit-identical trajectories.
 
     stop, if given, is called as stop(x, n, y, t_left) at each record time
     after the first step (every record_every steps) of a run that has not
@@ -176,25 +179,30 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
     h2 = 0.5 * dt
     s = dt / 6.0
     eps = st.eps_stationary
+    neps = -eps
     record_every = st.record_every
 
     rows: list[tuple[float, ...]] = []
-
-    def record(t, x, n, y, ev):
-        rows.append((t, x, n, y, ev[3], ev[4], x * ev[3] + (1.0 - x) * ev[4], ev[5], ev[6]))
-
-    cur = f(x, n, y)
-    record(0.0, x, n, y, cur)
-    k1x, k1n, k1y = cur[0], cur[1], cur[2]
-    # Stationary: each derivative component lies in (-eps, eps). A NaN fails
-    # the test, so a NaN derivative never counts as stationary.
-    neps = -eps
-    streak = 1 if neps < k1x < eps and neps < k1n < eps and neps < k1y < eps else 0
-    converged = streak > hold_steps
-    k = 0
+    k = streak = 0
     reason = "horizon"
-
-    while k < n_steps and not converged:
+    while True:
+        cur = f(x, n, y)
+        k1x, k1n, k1y = cur[0], cur[1], cur[2]
+        # Stationary: each derivative component lies in (-eps, eps). A NaN fails
+        # the test, so a NaN derivative never counts as stationary.
+        streak = streak + 1 if neps < k1x < eps and neps < k1n < eps and neps < k1y < eps else 0
+        converged = streak > hold_steps
+        if converged or k == n_steps or k % record_every == 0:
+            t = k * dt
+            rows.append((t, x, n, y, cur[3], cur[4], x * cur[3] + (1.0 - x) * cur[4], cur[5], cur[6]))
+            if converged:
+                reason = "converged"
+                break
+            if stop is not None and k and k % record_every == 0 and stop(x, n, y, t_end - t):
+                reason = "stopped"
+                break
+            if k == n_steps:
+                break
         if use_rk4:
             k2 = f(x + h2 * k1x, n + h2 * k1n, y + h2 * k1y)
             k2x, k2n, k2y = k2[0], k2[1], k2[2]
@@ -217,21 +225,4 @@ def simulate(scenario, method: str = "rk4", *, stop=None) -> Trajectory:
                 raise
         x, n, y = nx, nn, ny
         k += 1
-        cur = f(x, n, y)
-        k1x, k1n, k1y = cur[0], cur[1], cur[2]
-        if neps < k1x < eps and neps < k1n < eps and neps < k1y < eps:
-            streak += 1
-        else:
-            streak = 0
-        converged = streak > hold_steps
-        if k % record_every == 0:
-            t = k * dt
-            record(t, x, n, y, cur)
-            if stop is not None and not converged and stop(x, n, y, t_end - t):
-                reason = "stopped"
-                break
-    if k % record_every:
-        record(k * dt, x, n, y, cur)
-    if converged:
-        reason = "converged"
     return Trajectory(*zip(*rows), converged, reason=reason, steps=k)
