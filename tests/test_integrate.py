@@ -340,13 +340,8 @@ class TestRunReport:
 
     def test_stopped_at_a_record_time(self):
         calls = []
-
-        def stop(x, n, y, t_left):
-            calls.append((x, n, y, t_left))
-            return len(calls) == 3
-
         full = simulate(hd_scenario())
-        trajectory = simulate(hd_scenario(), stop=stop)
+        trajectory = simulate(hd_scenario(), stop=spy_stop(calls, 3))
         assert trajectory.reason == "stopped" and not trajectory.converged
         assert trajectory.t_converged is None
         # Called every record_every = 10 steps from the first step on, with
@@ -408,27 +403,40 @@ class TestRunReport:
 class TestRhsEvaluations:
     # One evaluation of each step's starting state, plus three more stages per
     # RK4 step, plus one of the state the run ends on: no counter is needed.
-    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1)])
-    @pytest.mark.parametrize("settings, stop_at, reason", [
-        ({}, None, "converged"), ({"t_max": 2.0}, None, "horizon"), ({}, 3, "stopped")])
-    def test_count_follows_steps(self, monkeypatch, method, per_step, settings, stop_at, reason):
-        evaluations = 0
+    # A blowup ends inside step `steps`, after all of that step's stages.
+    @staticmethod
+    def _count(monkeypatch):
+        evaluations = [0]
         real = Scenario.rhs
 
         def counting_rhs(scenario):
             f = real(scenario)
 
             def counted(x, n, y):
-                nonlocal evaluations
-                evaluations += 1
+                evaluations[0] += 1
                 return f(x, n, y)
             return counted
 
         monkeypatch.setattr(Scenario, "rhs", counting_rhs)
+        return evaluations
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1)])
+    @pytest.mark.parametrize("settings, stop_at, reason", [
+        ({}, None, "converged"), ({"t_max": 2.0}, None, "horizon"), ({}, 3, "stopped")])
+    def test_count_follows_steps(self, monkeypatch, method, per_step, settings, stop_at, reason):
+        evaluations = self._count(monkeypatch)
         stop = None if stop_at is None else spy_stop([], stop_at)
         trajectory = simulate(hd_preset(**settings), method, stop=stop)
         assert trajectory.reason == reason
-        assert evaluations == 1 + per_step * trajectory.steps
+        assert evaluations == [1 + per_step * trajectory.steps]
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1)])
+    def test_blowup_count_follows_steps(self, monkeypatch, method, per_step):
+        evaluations = self._count(monkeypatch)
+        with pytest.raises(BlowupError) as exc:
+            simulate(hd_preset(dt=2.5), method)
+        assert exc.value.partial.steps == 3
+        assert evaluations == [per_step * (exc.value.partial.steps + 1)]
 
 
 def trajectory_corpus(seed=2929, games=16):
