@@ -1154,6 +1154,25 @@ class TestStability:
         assert checked == 1216
 
 
+class TestTrapBits:
+    # sha256 of every field of every trap find_traps certifies on
+    # fixed_point_corpus(), floats as float.hex(); TestTraps checks labels.
+    DIGEST = "86cc2d12af8d56a1ff0672003a38cd6f832183475a687646f946caeb586e022e"
+
+    def test_traps_bit_identical(self):
+        digest = hashlib.sha256()
+        count = 0
+        for scenario in fixed_point_corpus():
+            for t in find_traps(scenario, find_fixed_points(scenario)):
+                floats = (*t.center, *(v for row in t.p for v in row), t.level, t.rate,
+                          t.reach, t.bound2)
+                digest.update((f"{t.label} {t.axes} " + " ".join(v.hex() for v in floats)
+                               + "\n").encode())
+                count += 1
+            digest.update(b"--\n")
+        assert (count, digest.hexdigest()) == (190, self.DIGEST)
+
+
 def _start_in_trap(rng, scenario, trap, v_max):
     """Seeded copy of scenario started in the cube at a state with
     V <= v_max in trap's coordinates; n is drawn in [0, 1] on a line."""

@@ -541,6 +541,40 @@ class TestKernelShapes:
                 assert [[v.hex() for v in row] for row in _jacobian(f, z)] == \
                     [[v.hex() for v in row] for row in _jacobian(g, z)]
 
+    def test_jacobian_digest(self):
+        # sha256 over the Jacobian rows at seeded points inside the cube, on
+        # its faces and at its corners, and over their bounds on boxes
+        # clipped to it, for every shape. Each entry is hashed as v + 0.0,
+        # so the sign of a zero does not count; a box on which a pin or
+        # clamp changes branch counts as one token.
+        rng = random.Random(20261021)
+        digest = hashlib.sha256()
+        straddles = 0
+
+        def coordinate():
+            return rng.choice((0.0, 1.0, rng.random(), rng.random()))
+
+        for shared, mode in self.SHAPES:
+            for pair in shape_games(rng, shared, 4):
+                trust = TrustMatrix(*[rng.choice((0.0, 1.0, rng.random())) for _ in range(4)])
+                env = EnvParams(rng.uniform(0.01, 3.0), rng.choice((0.0, -rng.uniform(0.0, 3.0))))
+                f = make_rhs(pair, env, trust, mode)
+                points = [[coordinate() for _ in range(3)] for _ in range(10)]
+                for center in list(points):
+                    r = rng.choice((0.1, 0.025, 1e-3, 1e-6))
+                    points.append([_Interval(max(0.0, c - r), min(1.0, c + r)) for c in center])
+                for z in points:
+                    try:
+                        rows = _jacobian(f, z)
+                    except _Straddle:
+                        digest.update(b"straddle\n")
+                        straddles += 1
+                        continue
+                    digest.update((" ".join((b + 0.0).hex() for row in rows for v in row
+                                            for b in _bounds(v)) + "\n").encode())
+        assert (straddles, digest.hexdigest()) == (
+            585, "7fc6995cfe35b7a18b78738cf3ffd839e617b3e6809229e3bd6348ed223a5d7e")
+
     def test_compiled_once_per_shape(self):
         # Two pairs that differ in every entry, with other env and trust.
         pair = GamePair(HD_PAIR.a0, Payoff2x2(1.0, 2.0, 3.0, 4.0))
