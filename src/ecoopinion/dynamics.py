@@ -86,13 +86,13 @@ class EnvParams:
             raise FieldError("psi", f"psi must be nonpositive, got {self.psi!r}")
 
 
-def _kernel_source(shape) -> str:
+def _kernel_source(shape, transform=None) -> str:
     """Source of a function that binds make_rhs's 14 constants and returns
     the evaluator of one shape: the four flags a0ij == a1ij and the protocol
     mode. The equations are listed once, in evaluation order; where both
     games agree on an entry the shared entry is read directly, which keeps
-    interpolation exact, and a temporary read once is written into its
-    reader. Inlining changes no operation, operand order or grouping."""
+    interpolation exact; transform(steps) may rewrite steps and result. An
+    unread temporary is dropped, and one read once is inlined, grouping kept."""
     *shared, mode = shape
 
     def blend(w, ij, same):
@@ -117,6 +117,8 @@ def _kernel_source(shape) -> str:
               ("p12", "0.0 if q12 < 0.0 else (1.0 if q12 > 1.0 else q12)"),
               ("dy", "yc * p21 - y * p12")]
     result = "dx, dn, dy, u1, u2, p12, p21"
+    if transform is not None:
+        steps, result = transform(steps)
     name = re.compile(r"[a-z_]\w*")
     reads = Counter(name.findall(" ".join(expr for _, expr in steps) + " " + result))
     inline: dict[str, str] = {}
@@ -129,7 +131,7 @@ def _kernel_source(shape) -> str:
         expr = substitute(expr)
         if reads[target] == 1:
             inline[target] = expr if expr.isidentifier() else f"({expr})"
-        else:
+        elif reads[target]:
             lines.append(f"        {target} = {expr}")
     pins = "".join(f"        if {c} < 0.0:\n            {c} = 0.0\n"
                    f"        elif {c} > 1.0:\n            {c} = 1.0\n" for c in "xny")
@@ -139,8 +141,19 @@ def _kernel_source(shape) -> str:
             + f"\n        return {substitute(result)}\n    return rhs\n")
 
 
-# One compiled binder per shape (at most 32), shared by every make_rhs call.
 _KERNELS: dict[tuple, object] = {}
+
+
+def _bind(pair, env, trust, mode, transform=None):
+    """_kernel_source(shape, transform)'s evaluator, bound to 14 constants."""
+    a0, a1 = pair.a0.entries(), pair.a1.entries()
+    shape = (*(p == q for p, q in zip(a0, a1)), mode)
+    bind = _KERNELS.get((shape, transform))
+    if bind is None:
+        namespace: dict = {}
+        exec(_kernel_source(shape, transform), namespace)
+        bind = _KERNELS[shape, transform] = namespace["bind"]
+    return bind(*a0, *a1, env.theta, env.psi, *trust.entries())
 
 
 def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
@@ -153,8 +166,7 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
     to [0, 1] before evaluation. This is the only place the model equations
     are written (listed in _kernel_source): the integrator, the analysis
     scans and the single-line views below all evaluate f, and
-    ecoopinion.traps differentiates it on dual numbers (it uses only +, -
-    and *, and compares with < and >).
+    ecoopinion.traps generates its Jacobian from the same list.
 
     f's source is generated once per shape, that is which payoff entries the
     two games share and the protocol mode (at most 32 shapes), and compiled
@@ -165,16 +177,7 @@ def make_rhs(pair: GamePair, env: EnvParams, trust: TrustMatrix,
         raise ValueError(
             f"protocol_matrix_mode must be one of {PROTOCOL_MODES}, got {protocol_matrix_mode!r}"
         )
-    a011, a012, a021, a022 = pair.a0.entries()
-    a111, a112, a121, a122 = pair.a1.entries()
-    shape = (a011 == a111, a012 == a112, a021 == a121, a022 == a122, protocol_matrix_mode)
-    bind = _KERNELS.get(shape)
-    if bind is None:
-        namespace: dict = {}
-        exec(_kernel_source(shape), namespace)
-        bind = _KERNELS[shape] = namespace["bind"]
-    return bind(a011, a012, a021, a022, a111, a112, a121, a122, env.theta, env.psi,
-                *trust.entries())
+    return _bind(pair, env, trust, protocol_matrix_mode)
 
 
 # Placeholders for the inputs a single-line view does not read.

@@ -9,16 +9,18 @@ bound on the Jacobian over a box around the attractor proves dV/dt <=
 uniform over the box as in contraction analysis (Lohmiller & Slotine,
 Automatica 34, 1998). A state in the trap stays there and its offset decays,
 so threshold_bisect can stop a run inside one and keep its label. The
-Jacobian is make_rhs's own, by forward-mode differentiation (Griewank &
-Walther, 2008), on intervals over pieces of the box (Moore et al., 2009).
+Jacobian is generated from make_rhs's equation list in forward mode (Griewank
+& Walther, 2008) and runs on intervals over pieces of the box (Moore 2009).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
 from .analysis import LABEL_RADIUS, distance_to, label_for
+from .dynamics import _bind
 
 _TRAP_RADII = tuple(0.1 / 2 ** k for k in range(7))  # box half-widths: 0.1 halved while >= 1e-3
 
@@ -35,24 +37,9 @@ class _Straddle(Exception):
     """An interval comparison that holds on part of the interval only."""
 
 
-class _Signed:
-    """a - b as a + (-b), which rounds as the subtraction does; a > b as -a < -b."""
-
-    __slots__ = ()
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __gt__(self, other):
-        return -self < -other
-
-
-class _Interval(_Signed):
-    """Closed interval [lo, hi] with outward-rounded +, - and *; < and >
-    raise _Straddle unless they hold, or fail, over the whole interval."""
+class _Interval:
+    """Closed interval [lo, hi] with outward-rounded +, - (as + of -) and *;
+    < and > raise _Straddle unless they hold, or fail, over all of it."""
 
     __slots__ = ("lo", "hi")
 
@@ -66,8 +53,14 @@ class _Interval(_Signed):
     def __neg__(self):
         return _Interval(-self.hi, -self.lo)
 
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
-        if other == 0.0:  # exact, and keeps a zero gradient entry a float
+        if other == 0.0:  # exact, and keeps a zero seed's partials floats
             return 0.0
         lo, hi = _bounds(other)
         ends = (self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi)
@@ -81,45 +74,47 @@ class _Interval(_Signed):
             return self.hi < lo
         raise _Straddle
 
-
-class _Dual(_Signed):
-    """A value (a float or an _Interval) and its gradient in (x, n, y); < and
-    > compare the value, so make_rhs's pins and clamps branch on it."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value, grad):
-        self.value, self.grad = value, grad
-
-    def __add__(self, other):
-        if not isinstance(other, _Dual):
-            return _Dual(self.value + other, self.grad)
-        g, h = self.grad, other.grad
-        return _Dual(self.value + other.value, (g[0] + h[0], g[1] + h[1], g[2] + h[2]))
-
-    def __neg__(self):
-        g = self.grad
-        return _Dual(-self.value, (-g[0], -g[1], -g[2]))
-
-    def __mul__(self, other):
-        g = self.grad
-        if not isinstance(other, _Dual):
-            return _Dual(self.value * other, (g[0] * other, g[1] * other, g[2] * other))
-        a, b, h = self.value, other.value, other.grad
-        return _Dual(a * b, (a * h[0] + g[0] * b, a * h[1] + g[1] * b, a * h[2] + g[2] * b))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __lt__(self, other):
-        return self.value < other
+    def __gt__(self, other):
+        return -self < -other
 
 
-def _jacobian(f, z):
-    """Rows of the derivative of (dx, dn, dy) from the make_rhs evaluator f at
-    the point z, from inside the cube on a face; or bounds on them over a box z
-    of _Intervals, where a pin or clamp that changes branch raises _Straddle."""
-    seeds = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return [d.grad for d in f(*map(_Dual, z, seeds))[:3]]
+def _differentiate(steps):
+    """make_rhs's steps, each followed by its partials in (x, n, y) as dual
+    numbers form them, from seeds bound to 1.0 and 0.0, and the derivative's
+    rows as the result. The pins act on values only: call it inside the cube.
+    A node but a name, a number, +, -, * or the clamp raises ValueError."""
+    out = {f"{v}_{a}": "1.0" if v == a else "0.0" for v in "xny" for a in "xny"}
+
+    def partials(node):  # None for a constant: a name without partials or a number
+        if isinstance(node, ast.Name):
+            return [f"{node.id}_{a}" for a in "xny"] if f"{node.id}_x" in out else None
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return None
+        if isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare):
+            g, h, zero = partials(node.body), partials(node.orelse), ["0.0"] * 3
+            return None if g is h is None else [f"{a} if {ast.unparse(node.test)} else ({b})"
+                                                for a, b in zip(g or zero, h or zero)]
+        op = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}.get(type(getattr(node, "op", None)))
+        if op is None:
+            raise ValueError(f"cannot differentiate {ast.unparse(node)!r}")
+        g, h = partials(node.left), partials(node.right)
+        u, v = (f"({ast.unparse(side)})" for side in (node.left, node.right))
+        if op == "*":
+            if g is None or h is None:
+                return None if g is h else [f"({a}) * {u if g is None else v}" for a in g or h]
+            return [f"{u} * ({b}) + ({a}) * {v}" for a, b in zip(g, h)]
+        if h is None:
+            return g
+        if g is None:
+            return h if op == "+" else [f"-({b})" for b in h]
+        return [f"({a}) {op} ({b})" for a, b in zip(g, h)]
+
+    for target, expr in steps:
+        out[target] = expr
+        g = partials(ast.parse(expr, mode="eval").body)
+        if g is not None:
+            out.update((f"{target}_{a}", src) for a, src in zip("xny", g))
+    return out.items(), ", ".join(f"({d}_x, {d}_n, {d}_y)" for d in ("dx", "dn", "dy"))
 
 
 def _hull(*values):
@@ -211,20 +206,20 @@ class Trap:
         return v <= self.level and v * math.exp(-self.rate * remaining) * self.reach <= self.bound2
 
 
-def _certify(f, label, center, axes, residual, settings):
+def _certify(jacobian, label, center, axes, residual, settings):
     """A trap around the attractor at center (n is free off the axes), or None.
 
-    P solves J^T P + P J = -I for f's Jacobian J at center on the axes and
+    P solves J^T P + P J = -I for the Jacobian J at center on the axes and
     must be positive definite. The box, center +- r on the axes and [0, 1]
     along a free n, is cut into ceil(width / 2r) pieces per side; with J(z)
     in the hull of the pieces' bounds, P J(z) + J(z)^T P must stay below
-    -beta*I with beta > 0, and a pin or clamp of f that changes branch on a
-    piece fails the radius. A run that converges inside the trap then ends
-    within LABEL_RADIUS: wherever the sup norm of the derivative is below
+    -beta*I with beta > 0, and a clamp that changes branch on a piece fails
+    the radius. A run that converges inside the trap then ends within
+    LABEL_RADIUS: wherever the sup norm of the derivative is below
     eps_stationary, the offset from the exact attractor is at most
     spread*eps_stationary, and the record lies within spread*residual of it.
     """
-    rows = _jacobian(f, center)
+    rows = jacobian(*center)
     p = _lyapunov([[rows[i][k] for k in axes] for i in axes])
     m = len(axes)
     # Sylvester's criterion: V is positive definite (so J is Hurwitz).
@@ -242,7 +237,7 @@ def _certify(f, label, center, axes, residual, settings):
                  for i, c in enumerate(center)]
         pieces = [(x, n, y) for x in sides[0] for n in sides[1] for y in sides[2]]
         try:
-            jacobians = [_jacobian(f, piece) for piece in pieces]
+            jacobians = [jacobian(*piece) for piece in pieces]
         except _Straddle:
             continue
         rows_box = [list(map(_hull, *rows)) for rows in zip(*jacobians)]
@@ -275,7 +270,8 @@ def find_traps(scenario, records):
     A record qualifies only when every record with another label lies more
     than 2*LABEL_RADIUS away from it (in x and y when either is a line), so a
     state within LABEL_RADIUS of it gets its label."""
-    f = scenario.rhs()
+    jacobian = _bind(scenario.pair, scenario.env, scenario.trust,
+                     scenario.protocol_matrix_mode, _differentiate)
     groups = {}
     for record in records:
         groups.setdefault(label_for(record), []).append(record)
@@ -292,7 +288,7 @@ def find_traps(scenario, records):
         if any(min(distance_to(q, s), distance_to(group[0], q.state)) <= 2.0 * LABEL_RADIUS
                for q in others):
             continue
-        trap = _certify(f, label, center, axes, max(r.residual for r in group), scenario.settings)
+        trap = _certify(jacobian, label, center, axes, max(r.residual for r in group), scenario.settings)
         if trap is not None:
             traps.append(trap)
     return traps

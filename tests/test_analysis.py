@@ -35,9 +35,9 @@ from ecoopinion import (
     threshold_bisect,
 )
 from ecoopinion import analysis
-from ecoopinion.dynamics import PROTOCOL_MODES
+from ecoopinion.dynamics import PROTOCOL_MODES, _bind
 from ecoopinion.scenario import Scenario
-from ecoopinion.traps import _jacobian, find_traps
+from ecoopinion.traps import _differentiate, find_traps
 
 HD_PAIR = GamePair(hawk_dove_matrix(4, 12), hawk_dove_matrix(7, 10))
 PD_PAIR = GamePair(Payoff2x2(3.5, 1, 2, 0.75), Payoff2x2(4, 1, 4.5, 1.25))
@@ -1078,20 +1078,26 @@ def eigenvalues(rows):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
+def jacobian(scenario):
+    """The Jacobian evaluator generated from scenario's make_rhs."""
+    return _bind(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode,
+                 _differentiate)
+
+
 def jacobian_at(scenario, state):
-    """Jacobian rows of make_rhs at state, by forward-mode AD. At the clamp's
+    """Jacobian rows of make_rhs at state. At the clamp's
     kink, where p12 == p21 == 0, each column is the one-sided derivative
     along its axis into the cube, taken at a point nudged inward; where the
     balance stays on the kink along an axis, either side gives that column."""
-    f = make_rhs(scenario.pair, scenario.env, scenario.trust, scenario.protocol_matrix_mode)
+    f, jac = scenario.rhs(), jacobian(scenario)
     z = (state.x, state.n, state.y)
     if f(*z)[5:] != (0.0, 0.0):
-        return _jacobian(f, z)
+        return jac(*z)
     columns = []
     for j in range(3):
         inside = list(z)
         inside[j] += 1e-9 * (0.5 - z[j])
-        columns.append([row[j] for row in _jacobian(f, inside)])
+        columns.append([row[j] for row in jac(*inside)])
     return [list(row) for row in zip(*columns)]
 
 
@@ -1140,12 +1146,12 @@ class TestStability:
         presets = [preset_scenario(p) for p in ("hawk-dove", "prisoners-dilemma")]
         checked = 0
         for sc in [*presets, *fixed_point_corpus(8080)]:
-            f = sc.rhs()
+            f, jac = sc.rhs(), jacobian(sc)
             theta, psi = sc.env.theta, sc.env.psi
             for x in (0.0, 1.0):
                 for n in (0.0, 1.0):
                     for y in (0.0, 1.0):
-                        (jxx, jxn, jxy), (jnx, jnn, jny), _ = _jacobian(f, (x, n, y))
+                        (jxx, jxn, jxy), (jnx, jnn, jny), _ = jac(x, n, y)
                         _, _, _, u1, u2, _, _ = f(x, n, y)
                         assert (jxn, jxy, jnx, jny) == (0.0, 0.0, 0.0, 0.0), (sc, x, n, y)
                         assert jxx == (1.0 - 2.0 * x) * (u1 - u2), (sc, x, n, y)
@@ -1278,7 +1284,7 @@ class TestTraps:
         z = (r.state.x, r.state.n, r.state.y)
         assert (sc.trust.b21, sc.trust.b22, r.state.y) == (0.0, 0.0, 0.0)
         assert f(*z)[5:] == (0.0, 0.0)
-        rows = _jacobian(f, z)
+        rows = jacobian(sc)(*z)
         assert (rows[1][0], rows[2][0], rows[2][1]) == (0.0, 0.0, 0.0)
         assert all(rows[i][i] < -0.4 for i in range(3))
         # From inside the cube the y column vanishes.
