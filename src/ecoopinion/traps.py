@@ -98,8 +98,8 @@ def _differentiate(steps):
         if op is None:
             raise ValueError(f"cannot differentiate {ast.unparse(node)!r}")
         g, h = partials(node.left), partials(node.right)
-        u, v = (f"({ast.unparse(side)})" for side in (node.left, node.right))
         if op == "*":
+            u, v = (f"({ast.unparse(side)})" for side in (node.left, node.right))
             if g is None or h is None:
                 return None if g is h else [f"({a}) * {u if g is None else v}" for a in g or h]
             return [f"{u} * ({b}) + ({a}) * {v}" for a, b in zip(g, h)]

@@ -1085,10 +1085,10 @@ def jacobian(scenario):
 
 
 def jacobian_at(scenario, state):
-    """Jacobian rows of make_rhs at state. At the clamp's
-    kink, where p12 == p21 == 0, each column is the one-sided derivative
-    along its axis into the cube, taken at a point nudged inward; where the
-    balance stays on the kink along an axis, either side gives that column."""
+    """Jacobian rows of make_rhs at state. At the clamp's kink, where
+    p12 == p21 == 0, each column is the one-sided derivative along its axis
+    into the cube, taken at a point nudged inward; where the balance stays
+    on the kink along an axis, either side gives that column."""
     f, jac = scenario.rhs(), jacobian(scenario)
     z = (state.x, state.n, state.y)
     if f(*z)[5:] != (0.0, 0.0):

@@ -551,8 +551,8 @@ class TestKernelShapes:
         # sha256 over the Jacobian rows at seeded points inside the cube, on
         # its faces and at its corners, and over their bounds on boxes
         # clipped to it, for every shape. Each entry is hashed as v + 0.0,
-        # so the sign of a zero does not count; a box on which a pin or
-        # clamp changes branch counts as one token.
+        # so the sign of a zero does not count; a box on which the clamp
+        # changes branch counts as one token.
         rng = random.Random(20261021)
         digest = hashlib.sha256()
         straddles = 0
